@@ -8,12 +8,11 @@ rather than applicable.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-from mpmath import mp
 
 from .graphs import Graph, GraphError, iter_bits
 
@@ -21,6 +20,13 @@ PRECISION_BITS = 120
 MARGIN = Fraction(1, 10 ** 9)
 
 THEOREM_IDS = ("T3", "T2-avg", "T5", "T6", "T8")
+
+
+@functools.cache
+def _mpmath():
+    """mpmath's context, imported on first use: importing ekrkit does not load it."""
+    from mpmath import mp
+    return mp
 
 
 def binom(a: int, b: int) -> int:
@@ -135,6 +141,7 @@ class Applicability:
 # -- pointwise estimates -----------------------------------------------
 
 def _mpf_of(x: Fraction):
+    mp = _mpmath()
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
@@ -146,6 +153,7 @@ def check_exp_linear(x, k: int) -> IneqResult:
         raise GraphError(f"need k >= 1, got {k}")
     dom_hi = Fraction(2 * k, (k + 1) ** 2)
     hyp_ok = 0 <= x <= dom_hi
+    mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
         lhs = mp.e ** (-_mpf_of(x))
         rhs = 1 - _mpf_of(Fraction(k, k + 1) * x)
@@ -162,6 +170,7 @@ def check_one_minus_exp(y, k: int) -> IneqResult:
         raise GraphError(f"need k >= 1, got {k}")
     dom_hi = Fraction(2 * k * k, (k + 1) ** 3)
     hyp_ok = 0 <= y <= dom_hi
+    mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
         lhs = 1 - _mpf_of(y)
         rhs = mp.e ** (-_mpf_of(Fraction(k + 1, k) * y))
@@ -193,6 +202,7 @@ def big_star_lower(n: int, r: int, d: int, k: int):
     if min(n, r, d, k) < 1:
         raise GraphError("big_star_lower needs positive n, r, d, k")
     hyp_ok = Fraction(1, 3 * r) + Fraction(r * d, n) <= Fraction(2 * k * k, (k + 1) ** 3)
+    mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
         lead = _mpf_of(Fraction(n ** (r - 1), math.factorial(r - 1)))
         value = lead * mp.e ** (-_mpf_of(Fraction((r - 1) * 2 * k, (k + 1) ** 2)))
@@ -221,11 +231,13 @@ def estimate_checks(q: BoundQuery) -> list[IneqResult]:
 
 def _sqrt_log_threshold(n: int, c: Fraction):
     # sqrt(n ln c) - (ln c)/2 at high precision; caller holds the workprec
+    mp = _mpmath()
     ln_c = mp.log(_mpf_of(c))
     return mp.sqrt(n * ln_c) - ln_c / 2
 
 
 def _r_below_threshold(r: int, n: int, c: Fraction) -> tuple[bool, str]:
+    mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
         t = _sqrt_log_threshold(n, c)
         ok = mp.mpf(r) <= t - _mpf_of(MARGIN)
@@ -243,6 +255,7 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
         if q.n is None or q.r is None or q.c_density is None:
             raise GraphError("T2-avg needs n, r, c_density")
         c = q.c_density
+        mp = _mpmath()
         with mp.workprec(PRECISION_BITS):
             c_ok = bool(_mpf_of(c) >= mp.e / 36 + _mpf_of(MARGIN))
         n_ok = Fraction(q.n) > 18 * c * q.r ** 3
@@ -417,6 +430,7 @@ def _row(res: IneqResult) -> GridRow:
             return ""
         if isinstance(v, Fraction):
             return str(v)
+        mp = _mpmath()
         return mp.nstr(v, 17) if isinstance(v, mp.mpf) else str(v)
 
     return GridRow(res.name, res.params, fmt(res.lhs), fmt(res.rhs), bool(res.holds))

@@ -161,6 +161,26 @@ def _conv(a: list[int], b: list[int], cap: int) -> list[int]:
     return out
 
 
+def _add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _fit(a: list[int], cap: int) -> list[int]:
+    return a[:cap + 1] + [0] * (cap + 1 - len(a))
+
+
+def _div(a: list[int], b: list[int], cap: int) -> list[int]:
+    # power series a / b truncated after x^cap; exact in integers as b[0] == 1
+    out = _fit(a, cap)
+    for i, x in enumerate(out):
+        if x:
+            for j in range(1, min(len(b), cap + 1 - i)):
+                out[i + j] -= x * b[j]
+    return out
+
+
 def _component_polys(g: Graph, root: int, comp: int, cap: int) -> tuple[list[int], list[int]]:
     # inc[s]/exc[s]: independent s-sets of this component with root in/out
     order = [root]
@@ -177,8 +197,7 @@ def _component_polys(g: Graph, root: int, comp: int, cap: int) -> tuple[list[int
             break
         p = parent[u]
         inc[p] = _conv(inc[p], exc[u], cap)
-        exc[p] = _conv(exc[p], [x + y for x, y in
-                                zip(inc[u] + [0] * len(exc[u]), exc[u] + [0] * len(inc[u]))], cap)
+        exc[p] = _conv(exc[p], _add(inc[u], exc[u]), cap)
     return inc[root], exc[root]
 
 
@@ -195,9 +214,8 @@ def indep_size_counts_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[
     cap = g.n if max_size is None else max_size
     total = [1]
     for _comp, _root, (inc, exc) in _forest_polys(g, cap):
-        both = [x + y for x, y in zip(inc + [0] * len(exc), exc + [0] * len(inc))]
-        total = _conv(total, both, cap)
-    return total + [0] * (cap + 1 - len(total))
+        total = _conv(total, _add(inc, exc), cap)
+    return _fit(total, cap)
 
 
 def star_vector_tree_dp(g: Graph, v: int, max_size: Optional[int] = None) -> list[int]:
@@ -215,9 +233,70 @@ def star_vector_tree_dp(g: Graph, v: int, max_size: Optional[int] = None) -> lis
         else:
             root = (comp & -comp).bit_length() - 1
             inc, exc = _component_polys(g, root, comp, cap)
-            both = [x + y for x, y in zip(inc + [0] * len(exc), exc + [0] * len(inc))]
+            both = _add(inc, exc)
             total = both if total is None else _conv(total, both, cap)
-    return (total or [0]) + [0] * (cap + 1 - len(total or [0]))
+    return _fit(total, cap)
+
+
+def star_vectors_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[list[int]]:
+    """star_vector_tree_dp(g, v, max_size) for every vertex v of the forest g.
+
+    One rerooting pass instead of one DP per vertex: a pass down gives each
+    subtree's (inc, exc) polynomials, and a pass up recovers, for each child,
+    the rest of the tree as seen from it by dividing its parent's whole-tree
+    polynomials by the child's factor.  Every divisor has constant term 1,
+    so the truncated series division is exact.  Other components enter as
+    the product of their totals.
+    """
+    n = g.n
+    cap = n if max_size is None else max_size
+    if not 0 <= cap <= n:
+        raise GraphError(f"r={cap} out of range")
+    adj = g.adj
+    parent = [-1] * n
+    order = []  # breadth-first, one component after another
+    roots = []
+    seen = 0
+    i = 0
+    for s in range(n):
+        if seen >> s & 1:
+            continue
+        roots.append(s)
+        seen |= 1 << s
+        order.append(s)
+        while i < len(order):
+            u = order[i]
+            i += 1
+            new = adj[u] & ~seen
+            seen |= new
+            for w in iter_bits(new):
+                parent[w] = u
+                order.append(w)
+    if g.edge_count() != n - len(roots):
+        raise GraphError("tree DP requires a forest")
+    inc = [[0, 1] for _ in range(n)]
+    exc = [[1] for _ in range(n)]
+    for u in reversed(order):
+        p = parent[u]
+        if p >= 0:
+            inc[p] = _conv(inc[p], exc[u], cap)
+            exc[p] = _conv(exc[p], _add(inc[u], exc[u]), cap)
+    forest = [1]
+    for s in roots:
+        forest = _conv(forest, _add(inc[s], exc[s]), cap)
+    whole_inc, whole_exc = inc[:], exc[:]  # the whole component, rooted at u
+    others = [None] * n  # product of the other components' totals
+    for u in order:
+        p = parent[u]
+        if p < 0:
+            others[u] = _div(forest, _add(inc[u], exc[u]), cap)
+            continue
+        others[u] = others[p]
+        up_inc = _div(whole_inc[p], exc[u], cap)
+        up_exc = _div(whole_exc[p], _add(inc[u], exc[u]), cap)
+        whole_inc[u] = _conv(inc[u], up_exc, cap)
+        whole_exc[u] = _conv(exc[u], _add(up_inc, up_exc), cap)
+    return [_fit(_conv(others[v], whole_inc[v], cap), cap) for v in range(n)]
 
 
 def star_size_tree_dp(g: Graph, v: int, r: int) -> CountResult:

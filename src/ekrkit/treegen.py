@@ -1,9 +1,11 @@
 """Tree enumeration and exhaustive property sweeps.
 
 Labeled trees come from full Pruefer-sequence sweeps; isomorphism classes
-are deduplicated with a canonical rooted-at-centre certificate.  Free trees
-are also generated directly by leaf extension, which is vastly cheaper for
-the larger sizes the counterexample hunts need.
+are deduplicated by an integer rooted-at-centre key (the Aho-Hopcroft-Ullman
+encoding), and the canonical certificate string is built only for the first
+tree of each new class and for findings.  Free trees are also generated
+directly by leaf extension, which is vastly cheaper for the larger sizes the
+counterexample hunts need.
 """
 from __future__ import annotations
 
@@ -62,36 +64,66 @@ def iter_labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
         yield prufer_decode(seq, n)
 
 
-def tree_certificate(n: int, edges) -> str:
-    """Canonical certificate: minimum rooted shape string over the centres."""
-    if n == 1:
-        return "()"
+def _class_key(n: int, edges, shapes: dict) -> tuple:
+    """Integer key of a tree's isomorphism class (Aho-Hopcroft-Ullman).
+
+    Leaves are peeled layer by layer down to the one or two centres; each
+    peeled vertex, and then each centre, gets the int that `shapes` maps the
+    sorted tuple of its peeled children's ints to (new tuples get the next
+    int).  The key is the sorted tuple of the centres' ints, so trees keyed
+    against one `shapes` dict have equal keys iff they are isomorphic.
+    """
     nbr = [[] for _ in range(n)]
     for u, v in edges:
         nbr[u].append(v)
         nbr[v].append(u)
     deg = [len(a) for a in nbr]
-    alive = [True] * n
+    kids = [[] for _ in range(n)]
     remaining = n
     layer = [v for v in range(n) if deg[v] == 1]
     while remaining > 2:
         nxt = []
         for v in layer:
-            alive[v] = False
+            deg[v] = -1  # peeled; a live vertex keeps deg >= 1 until one is left
             remaining -= 1
+            k = kids[v]
+            k.sort()
+            k = tuple(k)
+            code = shapes.get(k)
+            if code is None:
+                code = shapes[k] = len(shapes)
             for w in nbr[v]:
-                if alive[w]:
+                if deg[w] > 0:
+                    kids[w].append(code)
                     deg[w] -= 1
                     if deg[w] == 1:
                         nxt.append(w)
         layer = nxt
-    centres = [v for v in range(n) if alive[v]]
+    return tuple(sorted(shapes.setdefault(tuple(sorted(kids[v])), len(shapes))
+                        for v in range(n) if deg[v] >= 0))
 
-    def shape(v: int, parent: int) -> str:
-        subs = sorted(shape(w, v) for w in nbr[v] if w != parent)
-        return "(" + "".join(subs) + ")"
 
-    return min(shape(c, -1) for c in centres)
+def _shape(kids: list[str]) -> str:
+    return "(" + "".join(sorted(kids)) + ")"
+
+
+def tree_certificate(n: int, edges) -> str:
+    """Canonical certificate: minimum rooted shape string over the centres.
+
+    A rooted shape is "(" + its children's shapes, sorted, + ")"; it is
+    rendered from the integer key, whose shapes are numbered children first.
+    """
+    shapes = {}
+    key = _class_key(n, edges, shapes)
+    kids = list(shapes)
+    text = []
+    for k in kids:
+        text.append(_shape([text[c] for c in k]))
+    if len(key) == 1:
+        return text[key[0]]
+    a, b = key
+    return min(_shape([text[c] for c in kids[a]] + [text[b]]),
+               _shape([text[c] for c in kids[b]] + [text[a]]))
 
 
 _FREE_CACHE: dict[int, list[tuple[tuple, str]]] = {1: [((), "()")]}
@@ -103,13 +135,13 @@ def _free_tree_edge_lists(n: int) -> list[tuple[tuple, str]]:
     top = max(_FREE_CACHE)
     for m in range(top + 1, n + 1):
         seen = {}
+        shapes = {}
         for edges, _cert in _FREE_CACHE[m - 1]:
             for v in range(m - 1):
                 cand = edges + ((v, m - 1),)
-                cert = tree_certificate(m, cand)
-                if cert not in seen:
-                    seen[cert] = cand
-        _FREE_CACHE[m] = sorted(((seen[c], c) for c in seen), key=lambda t: t[1])
+                seen.setdefault(_class_key(m, cand, shapes), cand)
+        _FREE_CACHE[m] = sorted(((e, tree_certificate(m, e)) for e in seen.values()),
+                                key=lambda t: t[1])
     return _FREE_CACHE[n]
 
 
@@ -231,8 +263,9 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
     """Sweep every labeled tree on n_min..n_max vertices for counterexamples.
 
     Pruefer sequences give all n^(n-2) labeled trees; isomorphism duplicates
-    are skipped via the canonical certificate, so each class is checked once
-    for every admissible set size r.
+    are skipped via an integer class key, so each class is checked once for
+    every admissible set size r.  The certificate string is built only for
+    the first tree of each new class.
     """
     if prop == PROP_EKR:
         budget = budget or default_budget()
@@ -245,13 +278,15 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
     findings = []
     for n in range(n_min, n_max + 1):
         seen = set()
+        shapes = {}
         for edges in iter_labeled_trees(n):
             labeled += 1
-            cert = tree_certificate(n, edges)
-            if cert in seen:
+            key = _class_key(n, edges, shapes)
+            if key in seen:
                 continue
-            seen.add(cert)
+            seen.add(key)
             unique += 1
+            cert = tree_certificate(n, edges)
             g = Graph(n, edges, label=f"tree-{n}-{len(seen) - 1}")
             alpha = max_independent_set_size(g)
             r_hi = alpha if r_max is None else min(r_max, alpha)
@@ -282,14 +317,14 @@ def search_catalog(prop: str, graphs: list[Graph], r_max: Optional[int] = None,
         n_max = max(n_max, g.n)
         alpha = max_independent_set_size(g)
         r_hi = alpha if r_max is None else min(r_max, alpha)
-        g6 = emit_graph6(g)
-        cert = tree_certificate(g.n, g.edges()) if g.is_tree() else g6
         for r in range(1, r_hi + 1):
             checks += 1
             bad, verdict, detail = _check_one(prop, g, r, budget)
             if verdict == BUDGET_EXCEEDED:
                 blown += 1
             if bad:
+                g6 = emit_graph6(g)
+                cert = tree_certificate(g.n, g.edges()) if g.is_tree() else g6
                 f = SweepFinding(g.n, r, cert, g6, verdict, detail)
                 findings.append(f)
                 if on_finding is not None:

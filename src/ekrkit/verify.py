@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .families import FamilyQuery, enum_independent_rsets, star_size_tree_dp
+from .families import FamilyQuery, enum_independent_rsets, star_vectors_tree_dp
 from .graphs import Graph, GraphError, SpiderSpec, bit_list, iter_bits
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -102,6 +102,24 @@ def is_intersecting(family: Iterable[int]) -> bool:
 
 # -- core branch and bound ----------------------------------------------
 
+def _containment(family: list[int]) -> dict[int, int]:
+    """{v: index mask of the members containing v} over the family's vertices."""
+    contains = {}
+    for i, s in enumerate(family):
+        bit = 1 << i
+        for v in iter_bits(s):
+            contains[v] = contains.get(v, 0) | bit
+    return contains
+
+
+def _meeting(contains: dict[int, int], s: int) -> int:
+    """Index mask of the members sharing a vertex with s."""
+    m = 0
+    for v in iter_bits(s):
+        m |= contains[v]
+    return m
+
+
 def _search_empty_common(cands: list[int], max_nodes: int, floor: int):
     """Largest pairwise-intersecting subfamily with empty total intersection
     and size > floor.
@@ -113,35 +131,19 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int):
     k = len(cands)
     if k == 0:
         return floor, None, 0, False
-    # candidate order: most intersections first (= fewest disjoint partners)
-    disj = []
-    for i, a in enumerate(cands):
-        row = 0
-        for j, b in enumerate(cands):
-            if i != j and not a & b:
-                row |= 1 << j
-        disj.append(row)
-    order = sorted(range(k), key=lambda i: (disj[i].bit_count(), cands[i]))
+    full = (1 << k) - 1
+    # candidate order: most intersections first (= fewest disjoint partners);
+    # every candidate is nonempty, so it meets itself and k - meets others
+    meets = _containment(cands)
+    order = sorted(range(k), key=lambda i: (k - _meeting(meets, cands[i]).bit_count(),
+                                            cands[i]))
     sets = [cands[i] for i in order]
-    dnb = [0] * k
-    for new_i, old_i in enumerate(order):
-        row = 0
-        for new_j, old_j in enumerate(order):
-            if disj[old_i] >> old_j & 1:
-                row |= 1 << new_j
-        dnb[new_i] = row
-    vertices = 0
-    for s in sets:
-        vertices |= s
-    contains = {v: 0 for v in iter_bits(vertices)}
-    for i, s in enumerate(sets):
-        for v in iter_bits(s):
-            contains[v] |= 1 << i
+    contains = _containment(sets)
+    dnb = [full & ~_meeting(contains, s) for s in sets]
 
     best = floor
     best_sel = None
     nodes = 0
-    full = (1 << k) - 1
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * k + 1000))
 
     def matching(allowed: int) -> int:
@@ -326,7 +328,7 @@ def is_r_hk(t: Graph, r: int) -> HkReport:
         raise GraphError("leaf-maximum verdicts need a tree")
     if not isinstance(r, int) or r < 1:
         raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
-    sizes = tuple(star_size_tree_dp(t, v, r).count for v in range(t.n))
+    sizes = tuple(vec[r] for vec in star_vectors_tree_dp(t, r))
     top = max(sizes)
     if top == 0:
         raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
@@ -367,7 +369,7 @@ def spider_order_check(spec: SpiderSpec, r: int) -> SpiderOrderReport:
     later legs' leaves.
     """
     g = spec.realize()
-    sizes = tuple(star_size_tree_dp(g, v, r).count for v in range(g.n))
+    sizes = tuple(vec[r] for vec in star_vectors_tree_dp(g, r))
     violations = []
     ordered = list(spec.order)
     leaf = [spec.leaf_vertex(i) for i in range(spec.k)]

@@ -24,9 +24,11 @@ from ekrkit.families import (
     star_size,
     star_size_tree_dp,
     star_vector_tree_dp,
+    star_vectors_tree_dp,
 )
 from ekrkit.graphs import Graph, GraphError, SpiderSpec, generate
 from ekrkit.bounds import binom, spider_star_lower
+from ekrkit.treegen import free_trees
 
 import helpers as H
 
@@ -152,6 +154,46 @@ def test_star_vector_vs_enumeration_random_trees():
         v = rng.randrange(n)
         assert star_vector_tree_dp(g, v) == indep_size_counts(g, anchor=v)
 
+
+
+def test_star_vector_cap_zero_on_one_vertex():
+    g = Graph(1)
+    assert star_vector_tree_dp(g, 0, max_size=0) == [0]
+    assert star_vectors_tree_dp(g, max_size=0) == [[0]]
+    assert star_vectors_tree_dp(g) == [[0, 1]]
+
+
+def test_star_vectors_match_per_vertex_routes_on_free_trees():
+    for n in range(1, 10):
+        for g in free_trees(n):
+            for cap in range(1, n + 1):
+                got = star_vectors_tree_dp(g, cap)
+                assert got == [star_vector_tree_dp(g, v, cap) for v in range(n)], (g.edges(), cap)
+                assert got == [indep_size_counts(g, anchor=v, max_size=cap)
+                               for v in range(n)], (g.edges(), cap)
+
+
+def test_star_vectors_validation():
+    with pytest.raises(GraphError):
+        star_vectors_tree_dp(generate("cycle:4"))
+    with pytest.raises(GraphError):
+        star_vectors_tree_dp(generate("path:4"), 5)
+    with pytest.raises(GraphError):
+        star_vectors_tree_dp(generate("path:4"), -1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_star_vectors_on_forests_property(n, data):
+    # vertex v > 0 hangs off an earlier vertex or starts a new component
+    parents = data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(n)))
+    edges = [(perm[p], perm[v]) for v, p in enumerate(parents) if 0 <= p < v]
+    g = Graph(n, edges)
+    cap = data.draw(st.integers(0, n))
+    want = [indep_size_counts(g, anchor=v, max_size=cap) for v in range(n)]
+    assert star_vectors_tree_dp(g, cap) == want
+    assert [star_vector_tree_dp(g, v, cap) for v in range(n)] == want
 
 def test_star_size_methods_agree_and_tag():
     g = generate("spider:2,2,2")

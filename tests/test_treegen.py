@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -93,6 +94,48 @@ def test_free_trees_match_labeled_sweep_dedup():
         assert len(certs) == len(T.free_trees(n))
         assert certs == {T.tree_certificate(n, g.edges()) for g in T.free_trees(n)}
 
+
+
+# -- integer class keys ------------------------------------------------------------
+
+def test_class_key_partitions_labeled_trees_like_certificates():
+    for n in range(1, 9):
+        shapes = {}
+        cert_of_key = {}
+        key_of_cert = {}
+        for edges in T.iter_labeled_trees(n):
+            key = T._class_key(n, edges, shapes)
+            cert = T.tree_certificate(n, edges)
+            assert cert_of_key.setdefault(key, cert) == cert, (n, edges)
+            assert key_of_cert.setdefault(cert, key) == key, (n, edges)
+        assert len(cert_of_key) == T.FREE_TREE_COUNTS[n - 1]
+
+
+def test_class_key_invariant_under_relabeling_and_separates_free_trees():
+    rng = random.Random(2718)
+    for n in range(1, 12):
+        shapes = {}
+        keys = set()
+        for g in T.free_trees(n):
+            edges = g.edges()
+            key = T._class_key(n, edges, shapes)
+            for _ in range(5):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabeled = [(perm[u], perm[v]) for u, v in edges]
+                rng.shuffle(relabeled)
+                assert T._class_key(n, relabeled, shapes) == key, (n, edges, perm)
+            keys.add(key)
+        assert len(keys) == T.FREE_TREE_COUNTS[n - 1], n
+
+
+def test_free_trees_labels_edges_and_order_pinned():
+    # digest of the free trees and certificates as first released, n = 1..10
+    h = hashlib.sha256()
+    for n in range(1, 11):
+        for g in T.free_trees(n):
+            h.update(f"{g.label} {g.edges()} {T.tree_certificate(n, g.edges())}\n".encode())
+    assert h.hexdigest() == "8d86fe8e35331850f25f19448ffefc6f6db457abaff0032d82382a8170c456d1"
 
 # -- integer partitions / compositions ---------------------------------------------
 

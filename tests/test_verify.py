@@ -4,8 +4,10 @@ from math import comb
 import pytest
 
 import ekrkit.verify as V
-from ekrkit.families import FamilyQuery, enum_independent_rsets
-from ekrkit.graphs import Graph, GraphError, SpiderSpec, generate
+from ekrkit.families import FamilyQuery, enum_independent_rsets, star_size_tree_dp
+from ekrkit.graphs import (Graph, GraphError, SpiderSpec, generate,
+                           max_independent_set_size)
+from ekrkit.treegen import iter_partitions
 
 import helpers as H
 
@@ -204,6 +206,23 @@ def test_hk_prefers_leaf_on_ties():
     rep = V.is_r_hk(generate("star:4"), 2)
     assert rep.holds and rep.best_is_leaf
 
+
+
+def test_star_verdicts_match_per_vertex_route_on_spiders():
+    # the reports as built from one tree DP per vertex
+    for n in range(4, 13):
+        for legs in iter_partitions(n - 1, min_parts=3):
+            spec = SpiderSpec(legs)
+            g = spec.realize()
+            leaves = [v for v in range(n) if g.degree(v) <= 1]
+            for r in range(1, max_independent_set_size(g) + 1):
+                sizes = tuple(star_size_tree_dp(g, v, r).count for v in range(n))
+                top = max(sizes)
+                holds = any(sizes[v] == top for v in leaves)
+                best = next((v for v in leaves if sizes[v] == top), sizes.index(top))
+                assert V.is_r_hk(g, r) == V.HkReport(r, holds, best, holds, sizes)
+                # the rest of the order report is a function of the sizes
+                assert V.spider_order_check(spec, r).star_sizes == sizes
 
 def test_spider_order_check():
     rep = V.spider_order_check(SpiderSpec((2, 2, 2)), 2)
