@@ -1,4 +1,5 @@
-"""Immutable bitset graphs: graph6 codec, named generators, exact parameters.
+"""Immutable bitset graphs: graph6 codec, named generators, automorphisms,
+exact parameters.
 
 Vertices are 0..n-1 and every vertex set in this package is a plain Python
 int used as a bitset (bit i set <=> vertex i in the set).  Adjacency is a
@@ -485,6 +486,168 @@ def distance(g: Graph, u: int, v: int) -> Optional[int]:
             return d
         seen |= frontier
     return None
+
+
+# -- automorphisms -----------------------------------------------------
+#
+# Individualisation-refinement (McKay, "Practical graph isomorphism", 1981).
+# An ordered partition is a list of vertex masks.  Refinement splits cells by
+# neighbour counts and puts the pieces in place in ascending count order, so
+# it depends on positions and counts only, never on vertex labels: every
+# automorphism maps the refined partition of a search node to the refined
+# partition of the node's image.  That is what makes the search complete.
+
+# refinements the generator search may run before it returns what it has
+AUTOMORPHISM_NODE_LIMIT = 20_000
+
+
+class _SearchStopped(Exception):
+    pass
+
+
+def _refine(adj: tuple, cells: list[int], splitters: list[int]) -> list[int]:
+    """Coarsest equitable refinement of the ordered partition `cells`.
+
+    Each splitter splits every cell by how many neighbours its vertices have
+    in the splitter; every piece of a split cell becomes a splitter in turn.
+    """
+    n = sum(c.bit_count() for c in cells)
+    queue = list(splitters)
+    head = 0
+    while head < len(queue) and len(cells) < n:
+        w = queue[head]
+        head += 1
+        out = []
+        for c in cells:
+            if not c & (c - 1):
+                out.append(c)
+                continue
+            pieces = {}
+            m = c
+            while m:
+                low = m & -m
+                m ^= low
+                d = (adj[low.bit_length() - 1] & w).bit_count()
+                pieces[d] = pieces.get(d, 0) | low
+            if len(pieces) == 1:
+                out.append(c)
+                continue
+            for d in sorted(pieces):
+                out.append(pieces[d])
+                queue.append(pieces[d])
+        cells = out
+    return cells
+
+
+def _individualise(adj: tuple, cells: list[int], t: int, v: int) -> list[int]:
+    """Split vertex v off the front of cell t, then refine."""
+    bit = 1 << v
+    return _refine(adj, cells[:t] + [bit, cells[t] ^ bit] + cells[t + 1:], [bit])
+
+
+def _is_automorphism(adj: tuple, perm: list[int], cells: list[int]) -> bool:
+    """Does v -> perm[v] preserve adjacency and map every cell onto itself?"""
+    img = [1 << x for x in perm]
+
+    def image(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= img[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    return (all(image(adj[v]) == adj[perm[v]] for v in range(len(perm)))
+            and all(image(c) == c for c in cells))
+
+
+def automorphism_generators(g: Graph, cells: Optional[Iterable[int]] = None) -> list[tuple]:
+    """Generators of the automorphisms of g that map every cell onto itself.
+
+    `cells` is a partition of the vertices into masks (default: one cell);
+    each generator is a tuple perm with v -> perm[v].  The search refines to
+    an equitable partition, follows one first path of individualisations
+    down to a discrete leaf, and then, from the deepest level up, tries every
+    vertex of that level's target cell that is not yet in the orbit of the
+    first path's choice, keeping a leaf that maps onto the first leaf.  When
+    every level is done, the generators span the whole group.  After
+    AUTOMORPHISM_NODE_LIMIT refinements the search stops early and returns
+    what it has found: a valid generating set of a subgroup.  Every
+    permutation returned has been checked against the adjacency rows and the
+    cells.
+    """
+    n, adj = g.n, g.adj
+    if cells is None:
+        start = [g.vertex_mask]
+    else:
+        start = [int(c) for c in cells]
+        covered = 0
+        for c in start:
+            if c <= 0 or c & covered or c & ~g.vertex_mask:
+                raise GraphError("cells must be disjoint nonempty vertex masks")
+            covered |= c
+        if covered != g.vertex_mask:
+            raise GraphError("cells must cover every vertex")
+    path = [_refine(adj, start, start)]
+    targets = []  # (cell index, first-path choice) per level
+    while len(path[-1]) < n:
+        p = path[-1]
+        t = next(i for i, c in enumerate(p) if c & (c - 1))
+        v = (p[t] & -p[t]).bit_length() - 1
+        targets.append((t, v))
+        path.append(_individualise(adj, p, t, v))
+    first = [c.bit_length() - 1 for c in path[-1]]
+    shapes = [[c.bit_count() for c in p] for p in path]
+    nodes = 0
+
+    def child(p: list[int], depth: int, w: int) -> Optional[list[int]]:
+        """Refined child of p by w, or None when its cell sizes rule it out."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > AUTOMORPHISM_NODE_LIMIT:
+            raise _SearchStopped
+        q = _individualise(adj, p, targets[depth][0], w)
+        return q if [c.bit_count() for c in q] == shapes[depth + 1] else None
+
+    def leaf_map(p: list[int], depth: int) -> Optional[list[int]]:
+        """An automorphism taking the first leaf to a leaf below p, if any."""
+        if depth == len(targets):
+            perm = [0] * n
+            for u, c in zip(first, p):
+                perm[u] = c.bit_length() - 1
+            return perm if _is_automorphism(adj, perm, start) else None
+        for w in iter_bits(p[targets[depth][0]]):
+            q = child(p, depth, w)
+            if q is not None:
+                perm = leaf_map(q, depth + 1)
+                if perm is not None:
+                    return perm
+        return None
+
+    orbit = list(range(n))  # union-find over the vertices
+
+    def find(x: int) -> int:
+        while orbit[x] != x:
+            orbit[x] = orbit[orbit[x]]
+            x = orbit[x]
+        return x
+
+    gens = []
+    try:
+        for depth in reversed(range(len(targets))):
+            t, v = targets[depth]
+            for w in iter_bits(path[depth][t]):
+                if find(w) == find(v):
+                    continue
+                q = child(path[depth], depth, w)
+                perm = None if q is None else leaf_map(q, depth + 1)
+                if perm is not None:
+                    gens.append(tuple(perm))
+                    for x, y in enumerate(perm):
+                        orbit[find(x)] = find(y)
+    except _SearchStopped:
+        pass
+    return gens
 
 
 # -- exact parameters --------------------------------------------------

@@ -112,7 +112,11 @@ def tree_certificate(n: int, edges) -> str:
 
     A rooted shape is "(" + its children's shapes, sorted, + ")"; it is
     rendered from the integer key, whose shapes are numbered children first.
+    Raises GraphError unless the edges form a tree on 0..n-1.
     """
+    edges = list(edges)
+    if len(edges) != n - 1 or not Graph(n, edges).is_tree():
+        raise GraphError(f"{len(edges)} edges on {n} vertices do not form a tree")
     shapes = {}
     key = _class_key(n, edges, shapes)
     kids = list(shapes)

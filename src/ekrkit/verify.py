@@ -6,6 +6,23 @@ family whose members share a common vertex x sits inside the full star at
 x, so the overall maximum is max(best star, best empty-common-intersection
 family); the branch and bound therefore only ever hunts for families with
 empty total intersection, seeded against the best star.
+
+The root of that search uses orbital branching (Ostrowski, Linderoth, Rossi,
+Smriglio, "Orbital branching", Math. Program. 126, 2011).  An automorphism
+of the graph maps independent r-sets to independent r-sets and keeps
+pairwise intersection, an empty total intersection and the family size, so
+the root subproblem is invariant under Aut(G).  Once the subtree of families
+containing the root's pick is searched, every family containing another set
+of the pick's orbit is the image of one already seen, so the root excludes
+the whole orbit instead of the pick alone.  What is left stays invariant, so
+each step of the root's exclude chain branches on orbits.  The orbits are
+computed once per search, from `graphs.automorphism_generators`, the first
+time the root excludes a pick.  The pick itself stays the representative,
+so the first root subtree, where the witness is usually found, is unchanged.
+Below the root the search branches on single sets, because there the
+subproblem is invariant only under the stabiliser of the sets picked so far,
+which would have to be computed anew for every subtree.  `nodes_explored` counts the nodes of this
+symmetry-reduced search.
 """
 from __future__ import annotations
 
@@ -15,7 +32,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .families import FamilyQuery, enum_independent_rsets, star_vectors_tree_dp
-from .graphs import Graph, GraphError, SpiderSpec, bit_list, iter_bits
+from .graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, bit_list,
+                     iter_bits)
 
 DEFAULT_MAX_NODES = 10_000_000
 BUDGET_ENV = "EKRKIT_MAX_NODES"
@@ -120,13 +138,41 @@ def _meeting(contains: dict[int, int], s: int) -> int:
     return m
 
 
-def _search_empty_common(cands: list[int], max_nodes: int, floor: int):
+def _orbit_masks(sets: list[int], gens: list[tuple]) -> list[int]:
+    """Index mask of each set's orbit under the vertex permutations `gens`,
+    which must map the list of sets onto itself."""
+    index = {s: i for i, s in enumerate(sets)}
+    root = list(range(len(sets)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for perm in gens:
+        img = [1 << x for x in perm]
+        for i, s in enumerate(sets):
+            t = 0
+            for v in iter_bits(s):
+                t |= img[v]
+            root[find(i)] = find(index[t])
+    masks = [0] * len(sets)
+    for i in range(len(sets)):
+        masks[find(i)] |= 1 << i
+    return [masks[find(i)] for i in range(len(sets))]
+
+
+def _search_empty_common(cands: list[int], max_nodes: int, floor: int,
+                         g: Optional[Graph] = None):
     """Largest pairwise-intersecting subfamily with empty total intersection
     and size > floor.
 
-    Returns (best_size, best_index_mask_or_None, nodes, exceeded).  Smaller
-    families are pruned, so a None witness proves nothing above the floor
-    exists (when not exceeded).
+    With g given, the root branches on orbits of candidates under Aut(g),
+    which must map the candidate family onto itself.  Returns (best_size,
+    best_index_mask_or_None, nodes, exceeded).  Smaller families are pruned,
+    so a None witness proves nothing above the floor exists (when not
+    exceeded).
     """
     k = len(cands)
     if k == 0:
@@ -144,6 +190,7 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int):
     best = floor
     best_sel = None
     nodes = 0
+    orbits = None  # built when the root first excludes a pick
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * k + 1000))
 
     def matching(allowed: int) -> int:
@@ -159,8 +206,8 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int):
                 m += 1
         return m
 
-    def rec(allowed: int, common: int, size: int, sel: int):
-        nonlocal best, best_sel, nodes
+    def rec(allowed: int, common: int, size: int, sel: int, root: bool):
+        nonlocal best, best_sel, nodes, orbits
         while True:
             nodes += 1
             if nodes > max_nodes:
@@ -197,12 +244,18 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int):
                 if d > deg:
                     pick, deg = i, d
             pb = 1 << pick
-            rec(allowed & ~(dnb[pick] | pb), common & sets[pick], size + 1, sel | pb)
-            allowed ^= pb  # tail-iterate the exclude branch
+            rec(allowed & ~(dnb[pick] | pb), common & sets[pick], size + 1, sel | pb, False)
+            # tail-iterate the exclude branch; the root drops pick's whole orbit
+            if root and g is not None:
+                if orbits is None:
+                    orbits = _orbit_masks(sets, automorphism_generators(g))
+                allowed &= ~orbits[pick]
+            else:
+                allowed ^= pb
 
     exceeded = False
     try:
-        rec(full, -1, 0, 0)
+        rec(full, -1, 0, 0, True)
     except BudgetExceeded:
         exceeded = True
     witness = None
@@ -238,7 +291,7 @@ def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: int,
     budget = budget or default_budget()
     sv, ss = _star_tally(g, cands)
     found, witness, nodes, exceeded = _search_empty_common(
-        cands, budget.max_nodes, floor=ss - floor_offset)
+        cands, budget.max_nodes, floor=ss - floor_offset, g=g)
     if exceeded:
         size = max(ss, found if witness is not None else ss)
         wit = witness if witness is not None else _star_family(cands, sv)
@@ -252,14 +305,14 @@ def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: int,
     return EkrReport(r, EKR, sv, ss, ss, witness, nodes)
 
 
-def max_intersecting_family(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
-    """Exact maximum intersecting family of independent r-sets, with witness."""
-    return _report(g, r, _candidates(g, r), 0, budget)
-
-
 def is_r_ekr(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
     """Verdict ekr iff some star attains the maximum intersecting size."""
     return _report(g, r, _candidates(g, r), 0, budget)
+
+
+def max_intersecting_family(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
+    """Exact maximum intersecting family of independent r-sets, with witness."""
+    return is_r_ekr(g, r, budget)
 
 
 def is_strictly_r_ekr(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
@@ -276,7 +329,8 @@ def max_nonstar_intersecting(g: Graph, r: int, budget: Optional[SearchBudget] = 
     budget = budget or default_budget()
     cands = _candidates(g, r)
     sv, ss = _star_tally(g, cands)
-    found, witness, nodes, exceeded = _search_empty_common(cands, budget.max_nodes, floor=0)
+    found, witness, nodes, exceeded = _search_empty_common(cands, budget.max_nodes, floor=0,
+                                                           g=g)
     if exceeded:
         wit = witness if witness is not None else ()
         return EkrReport(r, BUDGET_EXCEEDED, sv, ss, found if witness is not None else 0,

@@ -4,7 +4,7 @@ Everything here works from raw (n, edge list) data with naive algorithms:
 itertools enumeration, full subset scans, union-find.  Nothing routes
 through the package's own counting or search code paths.
 """
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def mask(vertices) -> int:
@@ -129,3 +129,26 @@ def random_tree_edges(rng, n: int) -> list:
         return simple_prufer_decode((), n)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return simple_prufer_decode(seq, n)
+
+
+def brute_automorphisms(n: int, edges, cells=()) -> set:
+    """Every vertex permutation preserving the edge set and each cell (as vertex lists)."""
+    es = {frozenset(e) for e in edges}
+    return {perm for perm in permutations(range(n))
+            if {frozenset((perm[u], perm[v])) for u, v in edges} == es
+            and all({perm[v] for v in c} == set(c) for c in cells)}
+
+
+def perm_closure(gens, n: int) -> set:
+    """The permutation group generated by gens, listed by breadth-first search."""
+    ident = tuple(range(n))
+    seen = {ident}
+    todo = [ident]
+    while todo:
+        p = todo.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return seen

@@ -1,11 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ekrkit.graphs as graphs
 from ekrkit.graphs import (
     Graph,
     Graph6Error,
@@ -14,6 +15,7 @@ from ekrkit.graphs import (
     GraphParams,
     SearchLimitError,
     SpiderSpec,
+    automorphism_generators,
     bit_list,
     distance,
     emit_graph6,
@@ -376,3 +378,92 @@ def test_graph6_round_trip_property(n, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True)) if pairs else []
     g = Graph(n, edges)
     assert parse_graph6(emit_graph6(g)) == g
+
+
+# -- automorphisms ---------------------------------------------------------
+
+def _is_automorphism(g, perm) -> bool:
+    return sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()) == g.edges()
+
+
+def test_automorphisms_match_brute_force_on_all_small_graphs():
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for pick in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if pick >> i & 1]
+            gens = automorphism_generators(Graph(n, edges))
+            assert H.perm_closure(gens, n) == H.brute_automorphisms(n, edges)
+
+
+@pytest.mark.parametrize("spec,order", [
+    ("empty:1", 1), ("empty:4", 24), ("empty:6", 720), ("empty:7", 5040),
+    ("cycle:5", 10), ("cycle:8", 16), ("cycle:12", 24),
+    ("spider:3,3,3,3", 24), ("spider:4,4,4", 6), ("spider:1,3,4,5", 1),
+    ("kpartite:3,3", 72), ("kpartite:2,2,2", 48), ("path:7", 2), ("tristar:1", 48),
+])
+def test_automorphism_group_orders(spec, order):
+    g = generate(spec)
+    gens = automorphism_generators(g)
+    assert all(_is_automorphism(g, p) for p in gens)
+    assert len(H.perm_closure(gens, g.n)) == order
+
+
+def test_automorphisms_of_regular_graphs():
+    # every vertex looks alike to colour refinement, so most leaves below a
+    # wrong choice are not automorphisms and must be rejected
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] \
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    cube = [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+    triangle_and_square = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    prism = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+    # Shrikhande graph: Z4 x Z4, steps +-(0,1), +-(1,0), +-(1,1); the search
+    # reaches leaves with the right cell sizes that are not automorphisms
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = [(4 * a + b, 4 * c + d) for a, b, c, d in product(range(4), repeat=4)
+                  if 4 * a + b < 4 * c + d and ((c - a) % 4, (d - b) % 4) in steps]
+    rook = [(u, v) for u in range(16) for v in range(u + 1, 16)
+            if u // 4 == v // 4 or u % 4 == v % 4]
+    for n, edges, order in ((10, petersen, 120), (8, cube, 48), (7, triangle_and_square, 48),
+                            (6, prism, 12), (16, shrikhande, 192), (16, rook, 1152)):
+        g = Graph(n, edges)
+        gens = automorphism_generators(g)
+        assert all(_is_automorphism(g, p) for p in gens)
+        assert len(H.perm_closure(gens, n)) == order
+
+
+def test_automorphisms_preserve_cells():
+    rng = random.Random(8128)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        edges = H.random_graph_edges(rng, n, rng.randint(0, n + 2))
+        colour = [rng.randrange(3) for _ in range(n)]
+        cells = [[v for v in range(n) if colour[v] == c] for c in range(3)]
+        cells = [c for c in cells if c]
+        gens = automorphism_generators(Graph(n, edges), [mask_of(c) for c in cells])
+        for perm in gens:
+            assert all({perm[v] for v in c} == set(c) for c in cells)
+        assert H.perm_closure(gens, n) == H.brute_automorphisms(n, edges, cells)
+    # two cells of the edgeless graph: S_3 x S_3, never S_6
+    gens = automorphism_generators(generate("empty:6"), [0b000111, 0b111000])
+    assert len(H.perm_closure(gens, 6)) == 36
+
+
+def test_automorphism_cells_validation():
+    g = generate("path:4")
+    for cells in ([0b0011, 0b0110, 0b1000], [0b0011, 0b0100], [0b0011, 0], [0b1111, 0b10000]):
+        with pytest.raises(GraphError):
+            automorphism_generators(g, cells)
+
+
+def test_automorphism_search_stops_early_with_a_valid_subgroup(monkeypatch):
+    g = generate("kpartite:3,3,3")
+    full = automorphism_generators(g)
+    assert len(H.perm_closure(full, g.n)) == 1296
+    orders = []
+    for limit in (0, 1, 2, 5, 20):
+        monkeypatch.setattr(graphs, "AUTOMORPHISM_NODE_LIMIT", limit)
+        gens = automorphism_generators(g)
+        assert all(_is_automorphism(g, p) for p in gens)
+        orders.append(len(H.perm_closure(gens, g.n)))
+    assert orders[0] == 1 and orders[2] < 1296
+    assert orders == sorted(orders)

@@ -66,6 +66,24 @@ def test_certificate_invariant_under_relabeling():
         assert T.tree_certificate(n, relabeled) == cert
 
 
+def test_certificate_rejects_non_trees():
+    # a cycle has no leaf to peel; the check must refuse it, not loop
+    with pytest.raises(GraphError, match="not form a tree"):
+        T.tree_certificate(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(GraphError, match="not form a tree"):
+        T.tree_certificate(4, [(0, 1), (1, 2), (2, 0)])  # vertex 3 cut off
+    with pytest.raises(GraphError, match="not form a tree"):
+        T.tree_certificate(4, [(0, 1), (2, 3)])  # disconnected
+    with pytest.raises(GraphError, match="not form a tree"):
+        T.tree_certificate(3, [(0, 1), (0, 1)])  # repeated edge
+    with pytest.raises(GraphError, match="loop"):
+        T.tree_certificate(2, [(0, 0)])
+    with pytest.raises(GraphError, match="range"):
+        T.tree_certificate(3, [(0, 1), (1, 3)])
+    with pytest.raises(GraphError):
+        T.tree_certificate(0, [])
+
+
 def test_certificate_separates_shapes():
     path = generate("path:5")
     star = generate("star:4")

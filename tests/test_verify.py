@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ekrkit.verify as V
 from ekrkit.families import FamilyQuery, enum_independent_rsets, star_size_tree_dp
@@ -240,3 +242,53 @@ def test_spider_order_check():
     assert d["ok"] is True and d["violations"] == []
     with pytest.raises(GraphError):
         V.spider_order_check(SpiderSpec((2, 2, 2)), 9)
+
+
+# -- root orbital branching -------------------------------------------------
+
+SEARCHES = (V.is_r_ekr, V.is_strictly_r_ekr, V.max_nonstar_intersecting)
+
+
+def _plain(monkeypatch):
+    """Make every search branch without symmetry."""
+    monkeypatch.setattr(V, "automorphism_generators", lambda g, cells=None: [])
+
+
+def _check_witness(g, rep, search):
+    assert len(rep.witness) == rep.max_intersecting_size
+    assert V.is_intersecting(rep.witness)
+    for m in rep.witness:
+        assert g.is_independent(m) and (rep.r is None or m.bit_count() == rep.r)
+    # a star certifies ekr and strictly_ekr, except that the strict search
+    # proves plain ekr with a maximum family that is not a star
+    nonstar = (search is V.max_nonstar_intersecting or rep.verdict == V.NOT_EKR
+               or (search is V.is_strictly_r_ekr and rep.verdict == V.EKR))
+    assert (V.star_center(rep.witness).center is None) == nonstar
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_orbital_search_matches_plain_search(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+    g = Graph(n, edges)
+    runs = [(fn, r) for r in range(1, max_independent_set_size(g) + 1) for fn in SEARCHES]
+    orbital = [fn(g, r) for fn, r in runs] + [V.nonuniform_ekr(g)]
+    with pytest.MonkeyPatch.context() as mp:
+        _plain(mp)
+        plain = [fn(g, r) for fn, r in runs] + [V.nonuniform_ekr(g)]
+    for (fn, _), a, b in zip(runs + [(V.nonuniform_ekr, None)], orbital, plain):
+        assert (a.verdict, a.max_intersecting_size) == (b.verdict, b.max_intersecting_size)
+        assert (a.max_star_vertex, a.max_star_size) == (b.max_star_vertex, b.max_star_size)
+        _check_witness(g, a, fn)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_orbital_search_explores_fewer_nodes_on_edgeless_graphs(n, monkeypatch):
+    g = generate(f"empty:{n}")
+    orbital = [fn(g, 3) for fn in SEARCHES]
+    _plain(monkeypatch)
+    plain = [fn(g, 3) for fn in SEARCHES]
+    for a, b in zip(orbital, plain):
+        assert a.to_json_dict() | {"nodes_explored": 0} == b.to_json_dict() | {"nodes_explored": 0}
+        assert a.nodes_explored < b.nodes_explored
