@@ -60,6 +60,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def find_root(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after build.
 
@@ -545,8 +553,8 @@ def _individualise(adj: tuple, cells: list[int], t: int, v: int) -> list[int]:
     return _refine(adj, cells[:t] + [bit, cells[t] ^ bit] + cells[t + 1:], [bit])
 
 
-def _is_automorphism(adj: tuple, perm: list[int], cells: list[int]) -> bool:
-    """Does v -> perm[v] preserve adjacency and map every cell onto itself?"""
+def _is_automorphism(adj: tuple, perm: list[int]) -> bool:
+    """Does v -> perm[v] preserve adjacency?"""
     img = [1 << x for x in perm]
 
     def image(mask: int) -> int:
@@ -557,15 +565,13 @@ def _is_automorphism(adj: tuple, perm: list[int], cells: list[int]) -> bool:
             mask ^= low
         return out
 
-    return (all(image(adj[v]) == adj[perm[v]] for v in range(len(perm)))
-            and all(image(c) == c for c in cells))
+    return all(image(adj[v]) == adj[perm[v]] for v in range(len(perm)))
 
 
-def automorphism_generators(g: Graph, cells: Optional[Iterable[int]] = None) -> list[tuple]:
-    """Generators of the automorphisms of g that map every cell onto itself.
+def automorphism_generators(g: Graph) -> list[tuple]:
+    """Generators of the automorphism group of g.
 
-    `cells` is a partition of the vertices into masks (default: one cell);
-    each generator is a tuple perm with v -> perm[v].  The search refines to
+    Each generator is a tuple perm with v -> perm[v].  The search refines to
     an equitable partition, follows one first path of individualisations
     down to a discrete leaf, and then, from the deepest level up, tries every
     vertex of that level's target cell that is not yet in the orbit of the
@@ -573,22 +579,10 @@ def automorphism_generators(g: Graph, cells: Optional[Iterable[int]] = None) -> 
     every level is done, the generators span the whole group.  After
     AUTOMORPHISM_NODE_LIMIT refinements the search stops early and returns
     what it has found: a valid generating set of a subgroup.  Every
-    permutation returned has been checked against the adjacency rows and the
-    cells.
+    permutation returned has been checked against the adjacency rows.
     """
     n, adj = g.n, g.adj
-    if cells is None:
-        start = [g.vertex_mask]
-    else:
-        start = [int(c) for c in cells]
-        covered = 0
-        for c in start:
-            if c <= 0 or c & covered or c & ~g.vertex_mask:
-                raise GraphError("cells must be disjoint nonempty vertex masks")
-            covered |= c
-        if covered != g.vertex_mask:
-            raise GraphError("cells must cover every vertex")
-    path = [_refine(adj, start, start)]
+    path = [_refine(adj, [g.vertex_mask], [g.vertex_mask])]
     targets = []  # (cell index, first-path choice) per level
     while len(path[-1]) < n:
         p = path[-1]
@@ -615,7 +609,7 @@ def automorphism_generators(g: Graph, cells: Optional[Iterable[int]] = None) -> 
             perm = [0] * n
             for u, c in zip(first, p):
                 perm[u] = c.bit_length() - 1
-            return perm if _is_automorphism(adj, perm, start) else None
+            return perm if _is_automorphism(adj, perm) else None
         for w in iter_bits(p[targets[depth][0]]):
             q = child(p, depth, w)
             if q is not None:
@@ -625,26 +619,19 @@ def automorphism_generators(g: Graph, cells: Optional[Iterable[int]] = None) -> 
         return None
 
     orbit = list(range(n))  # union-find over the vertices
-
-    def find(x: int) -> int:
-        while orbit[x] != x:
-            orbit[x] = orbit[orbit[x]]
-            x = orbit[x]
-        return x
-
     gens = []
     try:
         for depth in reversed(range(len(targets))):
             t, v = targets[depth]
             for w in iter_bits(path[depth][t]):
-                if find(w) == find(v):
+                if find_root(orbit, w) == find_root(orbit, v):
                     continue
                 q = child(path[depth], depth, w)
                 perm = None if q is None else leaf_map(q, depth + 1)
                 if perm is not None:
                     gens.append(tuple(perm))
                     for x, y in enumerate(perm):
-                        orbit[find(x)] = find(y)
+                        orbit[find_root(orbit, x)] = find_root(orbit, y)
     except _SearchStopped:
         pass
     return gens

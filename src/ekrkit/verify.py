@@ -16,13 +16,13 @@ containing the root's pick is searched, every family containing another set
 of the pick's orbit is the image of one already seen, so the root excludes
 the whole orbit instead of the pick alone.  What is left stays invariant, so
 each step of the root's exclude chain branches on orbits.  The orbits are
-computed once per search, from `graphs.automorphism_generators`, the first
-time the root excludes a pick.  The pick itself stays the representative,
-so the first root subtree, where the witness is usually found, is unchanged.
-Below the root the search branches on single sets, because there the
-subproblem is invariant only under the stabiliser of the sets picked so far,
-which would have to be computed anew for every subtree.  `nodes_explored` counts the nodes of this
-symmetry-reduced search.
+computed once per search, from `graphs.automorphism_generators`, before the
+search starts.  The pick itself stays the representative, so the first root
+subtree, where the witness is usually found, is unchanged.  Below the root
+the search branches on single sets, because there the subproblem is
+invariant only under the stabiliser of the sets picked so far, which would
+have to be computed anew for every subtree.  `nodes_explored` counts the
+nodes of this symmetry-reduced search.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from .families import FamilyQuery, enum_independent_rsets, star_vectors_tree_dp
 from .graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, bit_list,
-                     iter_bits)
+                     find_root, iter_bits)
 
 DEFAULT_MAX_NODES = 10_000_000
 BUDGET_ENV = "EKRKIT_MAX_NODES"
@@ -143,33 +143,25 @@ def _orbit_masks(sets: list[int], gens: list[tuple]) -> list[int]:
     which must map the list of sets onto itself."""
     index = {s: i for i, s in enumerate(sets)}
     root = list(range(len(sets)))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
     for perm in gens:
         img = [1 << x for x in perm]
         for i, s in enumerate(sets):
             t = 0
             for v in iter_bits(s):
                 t |= img[v]
-            root[find(i)] = find(index[t])
+            root[find_root(root, i)] = find_root(root, index[t])
     masks = [0] * len(sets)
     for i in range(len(sets)):
-        masks[find(i)] |= 1 << i
-    return [masks[find(i)] for i in range(len(sets))]
+        masks[find_root(root, i)] |= 1 << i
+    return [masks[find_root(root, i)] for i in range(len(sets))]
 
 
-def _search_empty_common(cands: list[int], max_nodes: int, floor: int,
-                         g: Optional[Graph] = None):
+def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph):
     """Largest pairwise-intersecting subfamily with empty total intersection
     and size > floor.
 
-    With g given, the root branches on orbits of candidates under Aut(g),
-    which must map the candidate family onto itself.  Returns (best_size,
+    The root branches on orbits of candidates under Aut(g), which must map
+    the candidate family onto itself.  Returns (best_size,
     best_index_mask_or_None, nodes, exceeded).  Smaller families are pruned,
     so a None witness proves nothing above the floor exists (when not
     exceeded).
@@ -190,7 +182,7 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int,
     best = floor
     best_sel = None
     nodes = 0
-    orbits = None  # built when the root first excludes a pick
+    orbits = _orbit_masks(sets, automorphism_generators(g))
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * k + 1000))
 
     def matching(allowed: int) -> int:
@@ -207,7 +199,7 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int,
         return m
 
     def rec(allowed: int, common: int, size: int, sel: int, root: bool):
-        nonlocal best, best_sel, nodes, orbits
+        nonlocal best, best_sel, nodes
         while True:
             nodes += 1
             if nodes > max_nodes:
@@ -246,9 +238,7 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int,
             pb = 1 << pick
             rec(allowed & ~(dnb[pick] | pb), common & sets[pick], size + 1, sel | pb, False)
             # tail-iterate the exclude branch; the root drops pick's whole orbit
-            if root and g is not None:
-                if orbits is None:
-                    orbits = _orbit_masks(sets, automorphism_generators(g))
+            if root:
                 allowed &= ~orbits[pick]
             else:
                 allowed ^= pb
@@ -291,7 +281,7 @@ def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: int,
     budget = budget or default_budget()
     sv, ss = _star_tally(g, cands)
     found, witness, nodes, exceeded = _search_empty_common(
-        cands, budget.max_nodes, floor=ss - floor_offset, g=g)
+        cands, budget.max_nodes, ss - floor_offset, g)
     if exceeded:
         size = max(ss, found if witness is not None else ss)
         wit = witness if witness is not None else _star_family(cands, sv)
@@ -329,8 +319,7 @@ def max_nonstar_intersecting(g: Graph, r: int, budget: Optional[SearchBudget] = 
     budget = budget or default_budget()
     cands = _candidates(g, r)
     sv, ss = _star_tally(g, cands)
-    found, witness, nodes, exceeded = _search_empty_common(cands, budget.max_nodes, floor=0,
-                                                           g=g)
+    found, witness, nodes, exceeded = _search_empty_common(cands, budget.max_nodes, 0, g)
     if exceeded:
         wit = witness if witness is not None else ()
         return EkrReport(r, BUDGET_EXCEEDED, sv, ss, found if witness is not None else 0,

@@ -131,12 +131,11 @@ def random_tree_edges(rng, n: int) -> list:
     return simple_prufer_decode(seq, n)
 
 
-def brute_automorphisms(n: int, edges, cells=()) -> set:
-    """Every vertex permutation preserving the edge set and each cell (as vertex lists)."""
+def brute_automorphisms(n: int, edges) -> set:
+    """Every vertex permutation preserving the edge set."""
     es = {frozenset(e) for e in edges}
     return {perm for perm in permutations(range(n))
-            if {frozenset((perm[u], perm[v])) for u, v in edges} == es
-            and all({perm[v] for v in c} == set(c) for c in cells)}
+            if {frozenset((perm[u], perm[v])) for u, v in edges} == es}
 
 
 def perm_closure(gens, n: int) -> set:

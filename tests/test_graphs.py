@@ -431,30 +431,6 @@ def test_automorphisms_of_regular_graphs():
         assert len(H.perm_closure(gens, n)) == order
 
 
-def test_automorphisms_preserve_cells():
-    rng = random.Random(8128)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        edges = H.random_graph_edges(rng, n, rng.randint(0, n + 2))
-        colour = [rng.randrange(3) for _ in range(n)]
-        cells = [[v for v in range(n) if colour[v] == c] for c in range(3)]
-        cells = [c for c in cells if c]
-        gens = automorphism_generators(Graph(n, edges), [mask_of(c) for c in cells])
-        for perm in gens:
-            assert all({perm[v] for v in c} == set(c) for c in cells)
-        assert H.perm_closure(gens, n) == H.brute_automorphisms(n, edges, cells)
-    # two cells of the edgeless graph: S_3 x S_3, never S_6
-    gens = automorphism_generators(generate("empty:6"), [0b000111, 0b111000])
-    assert len(H.perm_closure(gens, 6)) == 36
-
-
-def test_automorphism_cells_validation():
-    g = generate("path:4")
-    for cells in ([0b0011, 0b0110, 0b1000], [0b0011, 0b0100], [0b0011, 0], [0b1111, 0b10000]):
-        with pytest.raises(GraphError):
-            automorphism_generators(g, cells)
-
-
 def test_automorphism_search_stops_early_with_a_valid_subgroup(monkeypatch):
     g = generate("kpartite:3,3,3")
     full = automorphism_generators(g)
