@@ -9,10 +9,11 @@ rather than applicable.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .graphs import Graph, GraphError, iter_bits
 
@@ -186,9 +187,10 @@ def check_degree_product(r: int, d: int, n: int) -> IneqResult:
     if n < 1:
         raise GraphError(f"need n >= 1, got {n}")
     hyp_ok = 8 * n >= 27 * d * r * r
-    lhs = Fraction(1)
+    num = 1  # the product is prod_i (n - r - i*d) / n^(r-1)
     for i in range(1, r):
-        lhs *= 1 - Fraction(r + i * d, n)
+        num *= n - r - i * d
+    lhs = Fraction(num, n ** (r - 1))
     rhs = Fraction(r, n)
     return IneqResult("degree-product", f"r={r};d={d};n={n}", lhs, rhs, lhs > rhs, hyp_ok)
 
@@ -229,23 +231,26 @@ def estimate_checks(q: BoundQuery) -> list[IneqResult]:
 
 # -- theorem applicability ----------------------------------------------
 
-def _sqrt_log_threshold(n: int, c: Fraction):
-    # sqrt(n ln c) - (ln c)/2 at high precision; caller holds the workprec
-    mp = _mpmath()
-    ln_c = mp.log(_mpf_of(c))
-    return mp.sqrt(n * ln_c) - ln_c / 2
-
-
 def _r_below_threshold(r: int, n: int, c: Fraction) -> tuple[bool, str]:
+    """r <= sqrt(n ln c) - (ln c)/2 less MARGIN, and the threshold as a string."""
     mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
-        t = _sqrt_log_threshold(n, c)
-        ok = mp.mpf(r) <= t - _mpf_of(MARGIN)
-        return bool(ok), mp.nstr(t, 17)
+        ln_c = mp.log(_mpf_of(c))
+        t = mp.sqrt(n * ln_c) - ln_c / 2
+        return bool(mp.mpf(r) <= t - _mpf_of(MARGIN)), mp.nstr(t, 17)
+
+
+def _check_domain(theorem: str, q: BoundQuery) -> None:
+    # negative n has no real threshold; T3 with d < 1 admits every r
+    if theorem in ("T5", "T6") and q.n is not None and q.n < 0:
+        raise GraphError(f"{theorem} needs n >= 0, got n={q.n}")
+    if theorem == "T3" and q.d is not None and q.d < 1:
+        raise GraphError(f"T3 needs d >= 1, got d={q.d}")
 
 
 def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
     """Whether the named threshold theorem applies at the query's parameters."""
+    _check_domain(theorem, q)
     if theorem == "T3":
         if q.n is None or q.r is None or q.d is None:
             raise GraphError("T3 needs n, r, d")
@@ -287,47 +292,30 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
     raise GraphError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
 
 
+_RMAX_NEEDS = {"T3": ("n", "d"), "T2-avg": ("n", "c_density"), "T5": ("n",),
+               "T6": ("n", "s"), "T8": ("n",)}
+
+
 def rmax(theorem: str, q: BoundQuery) -> list[int]:
     """All r >= 1 at which the named theorem applies for the other parameters."""
-    if theorem == "T3":
-        if q.n is None or q.d is None:
-            raise GraphError("T3 needs n, d")
-        out = []
-        r = 1
-        while 8 * q.n > 27 * q.d * r * r:
-            out.append(r)
-            r += 1
-        return out
-    if theorem == "T2-avg":
-        if q.n is None or q.c_density is None:
-            raise GraphError("T2-avg needs n, c_density")
-        out = []
-        r = 1
-        while hypothesis(theorem, BoundQuery(n=q.n, r=r, c_density=q.c_density)).applicable:
-            out.append(r)
-            r += 1
-        return out
-    if theorem == "T5":
-        if q.n is None:
-            raise GraphError("T5 needs n")
-        out = []
-        r = 1
-        while hypothesis(theorem, BoundQuery(n=q.n, r=r)).applicable:
-            out.append(r)
-            r += 1
-        return out
+    if theorem not in _RMAX_NEEDS:
+        raise GraphError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    if any(getattr(q, name) is None for name in _RMAX_NEEDS[theorem]):
+        raise GraphError(f"{theorem} needs {', '.join(_RMAX_NEEDS[theorem])}")
+    _check_domain(theorem, q)
+    if theorem == "T8":
+        return list(range(1, (q.n - 1) // 72 + 1))
+    if theorem == "T3":  # 8n > 27 d r^2 iff r^2 <= (8n - 1) // (27d)
+        return list(range(1, math.isqrt(max(8 * q.n - 1, 0) // (27 * q.d)) + 1))
     if theorem == "T6":
-        if q.n is None or q.s is None:
-            raise GraphError("T6 needs n, s")
         # c < 2 keeps every admissible r under the T5 threshold, so cap there
         cap = int(math.isqrt(int(q.n * math.log(2)))) + 3
-        return [r for r in range(1, cap + 1)
-                if hypothesis(theorem, BoundQuery(n=q.n, r=r, s=q.s)).applicable]
-    if theorem == "T8":
-        if q.n is None:
-            raise GraphError("T8 needs n")
-        return list(range(1, (q.n - 1) // 72 + 1))
-    raise GraphError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+        return [r for r in range(1, cap + 1) if hypothesis(theorem, replace(q, r=r)).applicable]
+    # T2-avg and T5 apply at every r up to a threshold
+    out = []
+    while hypothesis(theorem, replace(q, r=len(out) + 1)).applicable:
+        out.append(len(out) + 1)
+    return out
 
 
 # -- binomial comparison checks ----------------------------------------
@@ -415,8 +403,7 @@ def peel_bound_check(report: PeelReport, c: Fraction, r: int) -> dict:
 
 # -- grids ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     theorem_id: str
     parameters: str
     lhs: str
@@ -424,26 +411,26 @@ class GridRow:
     holds: bool
 
 
-def _row(res: IneqResult) -> GridRow:
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, Fraction):
-            return str(v)
-        mp = _mpmath()
-        return mp.nstr(v, 17) if isinstance(v, mp.mpf) else str(v)
-
+def _row(res: IneqResult, fmt=str) -> GridRow:
     return GridRow(res.name, res.params, fmt(res.lhs), fmt(res.rhs), bool(res.holds))
 
 
-def grid_degree_product(r_lo=2, r_hi=8, d_lo=2, d_hi=8, span=200) -> list[GridRow]:
-    rows = []
+def _binom_walk(m: int, k: int) -> Iterator[int]:
+    """C(m, k), C(m+1, k), C(m+2, k), ... in exact integer steps."""
+    c = binom(m, k)
+    while True:
+        yield c
+        m += 1
+        # C(m, k) = C(m-1, k) * m / (m-k), exact; restart from binom while still 0
+        c = c * m // (m - k) if c else binom(m, k)
+
+
+def _degree_product_rows(r_lo=2, r_hi=8, d_lo=2, d_hi=8, span=200):
     for r in range(r_lo, r_hi + 1):
         for d in range(d_lo, d_hi + 1):
             n0 = -(-27 * d * r * r // 8)  # ceil
             for n in range(n0, n0 + span):
-                rows.append(_row(check_degree_product(r, d, n)))
-    return rows
+                yield _row(check_degree_product(r, d, n))
 
 
 def _min_admissible_n(applicable, n_max: int):
@@ -460,88 +447,97 @@ def _min_admissible_n(applicable, n_max: int):
     return lo
 
 
-def grid_binoms(n_max=5000) -> list[GridRow]:
-    # same (n, r) set as {n <= n_max, r in rmax(T5, n)}, grouped by r so the
-    # threshold is bisected once per r instead of recomputed per n
-    rows = []
+def _binoms_rows(n_max=5000):
+    # binoms_ineq_check over {n <= n_max, r in rmax(T5, n)}, grouped by r so the
+    # threshold is bisected once per r and the binomials are walked along n
     r = 1
     while True:
         n0 = _min_admissible_n(
             lambda n: hypothesis("T5", BoundQuery(n=n, r=r)).applicable, n_max)
         if n0 is None:
-            break
-        for n in range(n0, n_max + 1):
-            res = binoms_ineq_check(n, r, hyp=True)
-            rows.append(GridRow(res.name, res.params, str(res.lhs), str(res.rhs),
-                                bool(res.holds)))
+            return
+        for n, lhs, half in zip(range(n0, n_max + 1), _binom_walk(n0 - 1, r - 1),
+                                _binom_walk(n0 - r - 1, r - 1)):
+            yield GridRow("binom-doubling", f"n={n};r={r}", str(lhs), str(2 * half),
+                          lhs < 2 * half)
         r += 1
-    return rows
 
 
-def grid_binoms2(n_max=5000, s_lo=2, s_hi=5, r_cap=16) -> list[GridRow]:
-    rows = []
+def _binoms2_rows(n_max=5000, s_lo=2, s_hi=5, r_cap=16):
+    # binoms2_ineq_check on the T6 range, walked along n like _binoms_rows
     for s in range(s_lo, s_hi + 1):
         for r in range(2 * s + 1, r_cap + 1):
             n0 = _min_admissible_n(
                 lambda n: hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable, n_max)
             if n0 is None:
                 continue
-            for n in range(n0, n_max + 1):
-                res = binoms2_ineq_check(n, r, s, hyp=True)
-                rows.append(GridRow(res.name, res.params, str(res.lhs), str(res.rhs),
-                                    bool(res.holds)))
-    return rows
+            for n, lhs, a, b in zip(range(n0, n_max + 1), _binom_walk(n0 - 1, r - 1),
+                                    _binom_walk(n0 - r - 1, r - 1),
+                                    _binom_walk(n0 - r - s, r - 1)):
+                yield GridRow("binom-split", f"n={n};r={r};s={s}", str(lhs), str(a + b),
+                              lhs <= a + b)
 
 
-def grid_hm_identity(n_max=60) -> list[GridRow]:
-    rows = []
+def _hm_identity_rows(n_max=60):
     for n in range(2, n_max + 1):
         for r in range(1, n):
-            rows.append(GridRow("hm-identity", f"n={n};r={r}",
-                                str(hm_bound(n, r)), str(hm_bound_sum_form(n, r)),
-                                hm_identity_check(n, r)))
-    return rows
+            yield GridRow("hm-identity", f"n={n};r={r}",
+                          str(hm_bound(n, r)), str(hm_bound_sum_form(n, r)),
+                          hm_identity_check(n, r))
 
 
-def grid_estimates(k_max=10, samples=100) -> list[GridRow]:
+def _estimates_rows(k_max=10, samples=100):
     """Interior sampling of both exponential estimates, 100 points per k."""
-    rows = []
     eps = Fraction(1, 10 ** 6)
+    nstr = functools.partial(_mpmath().nstr, n=17)
     for k in range(1, k_max + 1):
         x_hi = Fraction(2 * k, (k + 1) ** 2)
         y_hi = Fraction(2 * k * k, (k + 1) ** 3)
         for j in range(1, samples + 1):
             x = eps + (x_hi - eps) * Fraction(j, samples)
             y = eps + (y_hi - eps) * Fraction(j, samples)
-            rows.append(_row(check_exp_linear(x, k)))
-            rows.append(_row(check_one_minus_exp(y, k)))
-    return rows
+            yield _row(check_exp_linear(x, k), nstr)
+            yield _row(check_one_minus_exp(y, k), nstr)
 
 
-GRID_SUITES = ("degree-product", "binoms", "binoms2", "hm-identity", "estimates")
+_SUITES = {
+    "degree-product": _degree_product_rows,
+    "binoms": _binoms_rows,
+    "binoms2": _binoms2_rows,
+    "hm-identity": _hm_identity_rows,
+    "estimates": _estimates_rows,
+}
+GRID_SUITES = tuple(_SUITES)
+
+
+def _suite_rows(suite: str, **kw) -> Iterator[GridRow]:
+    if suite == "all":
+        return itertools.chain.from_iterable(rows() for rows in _SUITES.values())
+    if suite not in _SUITES:
+        raise GraphError(f"unknown grid suite {suite!r}; known: all, {', '.join(GRID_SUITES)}")
+    return _SUITES[suite](**kw)
 
 
 def run_grid(suite: str, **kw) -> list[GridRow]:
-    if suite == "degree-product":
-        return grid_degree_product(**kw)
-    if suite == "binoms":
-        return grid_binoms(**kw)
-    if suite == "binoms2":
-        return grid_binoms2(**kw)
-    if suite == "hm-identity":
-        return grid_hm_identity(**kw)
-    if suite == "estimates":
-        return grid_estimates(**kw)
-    if suite == "all":
-        rows = []
-        for name in GRID_SUITES:
-            rows.extend(run_grid(name))
-        return rows
-    raise GraphError(f"unknown grid suite {suite!r}; known: all, {', '.join(GRID_SUITES)}")
+    """Every row of one suite, or of all of them in GRID_SUITES order for "all"."""
+    return list(_suite_rows(suite, **kw))
+
+
+_CSV_HEADER = "theorem-id,parameters,lhs,rhs,holds\n"
+
+
+def _csv_line(row: GridRow) -> str:
+    holds = "true" if row.holds else "false"
+    return f"{row.theorem_id},{row.parameters},{row.lhs},{row.rhs},{holds}\n"
 
 
 def grid_to_csv(rows: list[GridRow]) -> str:
-    out = ["theorem-id,parameters,lhs,rhs,holds"]
+    return _CSV_HEADER + "".join(map(_csv_line, rows))
+
+
+def write_grid_csv(suite: str, stream) -> None:
+    """Write the suite's CSV to stream as its rows are made, holding neither rows nor text."""
+    rows = _suite_rows(suite)
+    stream.write(_CSV_HEADER)
     for row in rows:
-        out.append(f"{row.theorem_id},{row.parameters},{row.lhs},{row.rhs},{str(row.holds).lower()}")
-    return "\n".join(out) + "\n"
+        stream.write(_csv_line(row))

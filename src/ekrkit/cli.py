@@ -290,13 +290,11 @@ def _run_bounds(job: JobSpec, stream) -> int:
 
 def _run_grid(job: JobSpec, stream) -> int:
     suite = job.opt("suite", "all")
-    rows = bnd.run_grid(suite)
     if job.fmt in ("csv", "text"):
-        stream.write(bnd.grid_to_csv(rows))
+        bnd.write_grid_csv(suite, stream)
     elif job.fmt == "json":
-        payload = [{"theorem_id": r.theorem_id, "parameters": r.parameters,
-                    "lhs": r.lhs, "rhs": r.rhs, "holds": r.holds} for r in rows]
-        _emit(stream, {"suite": suite, "rows": payload,
+        rows = bnd.run_grid(suite)
+        _emit(stream, {"suite": suite, "rows": [r._asdict() for r in rows],
                        "all_hold": all(r.holds for r in rows)}, "json")
     else:
         raise CliError(f"format {job.fmt!r} not available for grid")

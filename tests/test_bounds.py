@@ -1,3 +1,4 @@
+import io
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -173,6 +174,19 @@ def test_hypothesis_t8():
         B.hypothesis("T9", BoundQuery(n=10, r=1))
 
 
+def test_thresholds_reject_degenerate_parameters():
+    # T3 with d < 1 admits every r (rmax never returned); T5/T6 have no real threshold at n < 0
+    for theorem, q in [("T3", BoundQuery(n=10, d=0)), ("T3", BoundQuery(n=10, d=-1)),
+                       ("T5", BoundQuery(n=-5)), ("T6", BoundQuery(n=-5, s=1)),
+                       ("T6", BoundQuery(n=-5, s=3))]:
+        with pytest.raises(GraphError):
+            B.rmax(theorem, q)
+        with pytest.raises(GraphError):
+            B.hypothesis(theorem, replace(q, r=3))
+    assert B.rmax("T5", BoundQuery(n=0)) == []
+    assert B.rmax("T6", BoundQuery(n=0, s=1)) == []
+
+
 def test_rmax_frozen_values():
     assert B.rmax("T5", BoundQuery(n=16)) == [1, 2]
     assert B.rmax("T5", BoundQuery(n=7)) == [1]
@@ -182,6 +196,13 @@ def test_rmax_frozen_values():
     assert B.rmax("T8", BoundQuery(n=72)) == []
     assert B.rmax("T2-avg", BoundQuery(n=145, c_density=Fraction(1))) == [1, 2]
     assert B.rmax("T3", BoundQuery(n=100, d=2)) == [1, 2, 3]
+
+
+def test_rmax_t3_closed_form_matches_condition():
+    for n in range(-3, 300):
+        for d in range(1, 5):
+            assert B.rmax("T3", BoundQuery(n=n, d=d)) == [
+                r for r in range(1, 40) if 8 * n > 27 * d * r * r], (n, d)
 
 
 @pytest.mark.parametrize(
@@ -286,14 +307,14 @@ def test_peel_invariants_property(n, data):
 # -- grids -------------------------------------------------------------------------
 
 def test_grid_degree_product_small():
-    rows = B.grid_degree_product(r_lo=2, r_hi=3, d_lo=2, d_hi=3, span=10)
+    rows = B.run_grid("degree-product", r_lo=2, r_hi=3, d_lo=2, d_hi=3, span=10)
     assert len(rows) == 4 * 10
     assert all(r.holds for r in rows)
     assert rows[0].theorem_id == "degree-product"
 
 
 def test_grid_binoms_small():
-    rows = B.grid_binoms(n_max=60)
+    rows = B.run_grid("binoms", n_max=60)
     assert rows and all(r.holds for r in rows)
     # spot check membership matches the threshold rule
     names = {r.parameters for r in rows}
@@ -301,19 +322,19 @@ def test_grid_binoms_small():
 
 
 def test_grid_binoms2_small():
-    rows = B.grid_binoms2(n_max=200)
+    rows = B.run_grid("binoms2", n_max=200)
     assert rows and all(r.holds for r in rows)
     assert all(r.theorem_id == "binom-split" for r in rows)
 
 
 def test_grid_hm_identity_small():
-    rows = B.grid_hm_identity(n_max=12)
+    rows = B.run_grid("hm-identity", n_max=12)
     assert all(r.holds for r in rows)
     assert len(rows) == sum(n - 1 for n in range(2, 13))
 
 
 def test_grid_estimates_small():
-    rows = B.grid_estimates(k_max=2, samples=6)
+    rows = B.run_grid("estimates", k_max=2, samples=6)
     assert len(rows) == 2 * 2 * 6
     assert all(r.holds for r in rows)
 
@@ -324,8 +345,61 @@ def test_run_grid_and_csv():
     lines = csv.strip().splitlines()
     assert lines[0] == "theorem-id,parameters,lhs,rhs,holds"
     assert all(line.endswith(",true") for line in lines[1:])
+    with pytest.raises(AttributeError):
+        rows[0].holds = False  # rows are immutable
     with pytest.raises(GraphError):
         B.run_grid("nope")
+
+
+def test_write_grid_csv_streams_the_same_text():
+    out = io.StringIO()
+    B.write_grid_csv("hm-identity", out)
+    assert out.getvalue() == B.grid_to_csv(B.run_grid("hm-identity"))
+    out = io.StringIO()
+    with pytest.raises(GraphError):
+        B.write_grid_csv("nope", out)
+    assert out.getvalue() == ""
+
+
+def test_binom_walk_matches_binom():
+    # starts below the support (values 0) and must restart there, then step exactly
+    for k in range(7):
+        for m0 in range(-3, 12):
+            walk = B._binom_walk(m0, k)
+            assert [next(walk) for _ in range(40)] == [B.binom(m, k) for m in range(m0, m0 + 40)]
+
+
+def _pointwise_row(res):
+    return B.GridRow(res.name, res.params, str(res.lhs), str(res.rhs), res.holds)
+
+
+def test_grid_walks_match_pointwise_checks():
+    n_max = 400
+    want = sorted((r, n) for n in range(1, n_max + 1) for r in B.rmax("T5", BoundQuery(n=n)))
+    assert B.run_grid("binoms", n_max=n_max) == [
+        _pointwise_row(B.binoms_ineq_check(n, r, hyp=True)) for r, n in want]
+    n_max, r_cap = 600, 16
+    want = [(s, r, n) for s in range(1, r_cap // 2 + 1) for r in range(2 * s + 1, r_cap + 1)
+            for n in range(1, n_max + 1)
+            if B.hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable]
+    assert {s for s, _, _ in want} == {1, 2, 3, 4}  # s >= 5 needs n > 600
+    assert B.run_grid("binoms2", n_max=n_max, s_lo=1, s_hi=r_cap // 2, r_cap=r_cap) == [
+        _pointwise_row(B.binoms2_ineq_check(n, r, s, hyp=True)) for s, r, n in want]
+
+
+def test_degree_product_matches_factor_product():
+    signs = set()
+    for r in range(2, 7):
+        for d in range(2, 6):
+            for n in range(1, 80):
+                want = Fraction(1)
+                for i in range(1, r):
+                    want *= 1 - Fraction(r + i * d, n)
+                res = B.check_degree_product(r, d, n)
+                assert (res.lhs, str(res.lhs)) == (want, str(want))
+                assert res.holds == (want > Fraction(r, n))
+                signs.add((want > 0) - (want < 0))
+    assert signs == {-1, 0, 1}
 
 
 def test_min_admissible_n_matches_linear_scan():

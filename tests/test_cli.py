@@ -1,7 +1,10 @@
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
+import ekrkit.bounds as bounds
 import ekrkit.cli as cli
 from ekrkit.cli import CliError, JobSpec, main
 
@@ -158,6 +161,40 @@ def test_grid_csv_and_json(capsys):
                              "--format", "json")
     assert code == 0 and payload["all_hold"] is True
     assert payload["rows"][0]["theorem_id"] == "hm-identity"
+
+
+def test_grid_all_csv_is_pinned(tmp_path):
+    # the streamed CSV must keep the exact bytes of the list-building writer
+    target = tmp_path / "grid.csv"
+    assert main(["grid", "--suite", "all", "--out", str(target)]) == 0
+    data = target.read_bytes()
+    assert data.count(b"\n") - 1 == 368_316
+    assert hashlib.sha256(data).hexdigest() == (
+        "afbd96a35e13b17a3154681e7dc805ad87ade37b41f84c7e2e83a942203d3763")
+
+
+def test_grid_csv_memory_stays_small(tmp_path):
+    bounds.hypothesis("T5", bounds.BoundQuery(n=10, r=1))  # import mpmath outside the trace
+    tracemalloc.start()
+    try:
+        assert main(["grid", "--suite", "binoms", "--out", str(tmp_path / "b.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"grid --suite binoms peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "T3", "--n", "10", "--d", "0"],
+    ["--theorem", "T3", "--n", "10", "--d", "-1"],
+    ["--theorem", "T5", "--n", "-5"],
+    ["--theorem", "T6", "--n", "-5", "--s", "1"],
+])
+def test_bounds_rejects_degenerate_parameters(capsys, argv):
+    code, out, err = run_main(capsys, "bounds", *argv)
+    assert code == 1 and out == ""
+    name = "d" if "--d" in argv else "n"
+    assert err.startswith("error: ") and f"{name}=" in err, err
 
 
 def test_peel_command(capsys):
