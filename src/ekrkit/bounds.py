@@ -512,6 +512,8 @@ GRID_SUITES = tuple(_SUITES)
 
 def _suite_rows(suite: str, **kw) -> Iterator[GridRow]:
     if suite == "all":
+        if kw:
+            raise GraphError(f"suite 'all' takes no parameters, got {', '.join(sorted(kw))}")
         return itertools.chain.from_iterable(rows() for rows in _SUITES.values())
     if suite not in _SUITES:
         raise GraphError(f"unknown grid suite {suite!r}; known: all, {', '.join(GRID_SUITES)}")

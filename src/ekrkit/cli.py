@@ -1,8 +1,11 @@
 """Batch command-line driver: verdicts, counts, bounds, grids, sweeps.
 
+The parser declares every subcommand, its options and which of them are
+required, and binds the subcommand's runner with `set_defaults(run=...)`;
+each runner reads the parsed arguments directly and writes one result.
 Exit codes: 0 = result computed (whatever the verdict), 2 = a search ran out
-of node budget, 1 = unusable input.  JSON output is deterministic: stable
-key order, no timestamps.
+of node budget, 1 = unusable input (argument errors included).  JSON output
+is deterministic: stable key order, no timestamps.
 """
 from __future__ import annotations
 
@@ -10,17 +13,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bounds as bnd
 from . import families as fam
 from . import graphs as gr
 from . import treegen as tg
 from . import verify as vf
-
-GENERATOR_KINDS = ("empty", "path", "cycle", "star", "spider", "kpartite", "tristar")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -31,62 +31,39 @@ class CliError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    command: str
-    graph_source: Optional[str] = None
-    r: Optional[int] = None
-    budget: Optional[vf.SearchBudget] = None
-    out: Optional[str] = None
-    fmt: str = "json"
-    options: tuple = ()  # sorted extra (key, value) pairs
+def _data_lines(text: str) -> list[str]:
+    """The stripped lines of text, without blank lines and # comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
 
-    def opt(self, key, default=None):
-        for k, v in self.options:
-            if k == key:
-                return v
-        return default
+
+def _generator_or(text: str, parse: Callable[[str], gr.Graph]) -> gr.Graph:
+    """`text` as a generator string if it names a generator kind, else parse(text)."""
+    if text.partition(":")[0].strip().lower() in gr.GENERATOR_KINDS:
+        return gr.generate(text)
+    return parse(text)
 
 
 def load_graph(source: str) -> gr.Graph:
     """Generator string, graph6 file, or edge-list file -> Graph."""
-    kind = source.partition(":")[0].strip().lower()
-    if kind in GENERATOR_KINDS:
-        return gr.generate(source)
-    if not os.path.exists(source):
-        raise CliError(f"{source!r} is neither a known generator nor a readable file")
-    with open(source, "r", encoding="ascii") as fh:
+    return _generator_or(source, _read_graph_file)
+
+
+def _read_graph_file(path: str) -> gr.Graph:
+    with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    return _parse_graph_text(text, source)
-
-
-def _parse_graph_text(text: str, source: str) -> gr.Graph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _data_lines(text)
     if not lines:
-        raise CliError(f"{source!r} contains no graph data")
-    first = lines[0]
-    toks = first.split()
+        raise CliError(f"{path!r} contains no graph data")
+    toks = lines[0].split()
     if len(toks) == 2 and all(t.lstrip("-").isdigit() for t in toks):
         return gr.parse_edge_list(text)
-    return gr.parse_graph6(first)
+    return gr.parse_graph6(lines[0])
 
 
 def load_catalog(path: str) -> list[gr.Graph]:
     """One graph per non-comment line: generator string or graph6."""
-    if not os.path.exists(path):
-        raise CliError(f"catalog file {path!r} not found")
-    out = []
     with open(path, "r", encoding="ascii") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            kind = ln.partition(":")[0].strip().lower()
-            if kind in GENERATOR_KINDS:
-                out.append(gr.generate(ln))
-            else:
-                out.append(gr.parse_graph6(ln))
+        out = [_generator_or(ln, gr.parse_graph6) for ln in _data_lines(fh.read())]
     if not out:
         raise CliError(f"catalog file {path!r} contains no graphs")
     return out
@@ -98,13 +75,16 @@ def _parse_vertex_set(arg: str) -> int:
     return gr.mask_of(int(t) for t in arg.replace(",", " ").split())
 
 
+def _budget(args) -> Optional[vf.SearchBudget]:
+    """--budget as a SearchBudget; None leaves the default to verify."""
+    return None if args.budget is None else vf.SearchBudget(args.budget)
+
+
 def _emit(stream, payload, fmt: str):
     if fmt == "json":
         stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif fmt == "text":
-        _emit_text(stream, payload)
     else:
-        raise CliError(f"format {fmt!r} not available for this command")
+        _emit_text(stream, payload)
 
 
 def _emit_text(stream, payload, prefix=""):
@@ -123,135 +103,108 @@ def _emit_text(stream, payload, prefix=""):
         stream.write(f"{prefix}{payload}\n")
 
 
-def _budget_from(arg: Optional[int]) -> vf.SearchBudget:
-    if arg is None:
-        return vf.default_budget()
-    return vf.SearchBudget(arg)
-
-
 # -- per-command runners -------------------------------------------------
 
-def _run_count(job: JobSpec, stream) -> int:
-    g = load_graph(job.graph_source)
-    if job.r is None:
-        raise CliError("count needs --r")
-    method = job.opt("method", "auto")
-    anchor = job.opt("anchor")
-    forbid = _parse_vertex_set(job.opt("forbid", ""))
-    if method == fam.CLOSED_FORM:
+def _run_count(args, stream) -> int:
+    g = load_graph(args.graph)
+    r, anchor = args.r, args.anchor
+    forbid = _parse_vertex_set(args.forbid)
+    if args.method == fam.CLOSED_FORM:
         if anchor is not None or forbid:
             raise CliError("closed form has no anchored/restricted variant")
         if g.n > 1 and not (g.is_tree() and g.max_degree() <= 2):
             raise CliError("closed form applies to paths only")
-        res = fam.count_path_rsets(g.n, job.r)
-    elif method == fam.TREE_DP:
+        res = fam.count_path_rsets(g.n, r)
+    elif args.method == fam.TREE_DP:
         if anchor is not None:
-            res = fam.star_size(g, anchor, job.r, method=fam.TREE_DP)
+            res = fam.star_size(g, anchor, r, method=fam.TREE_DP)
         else:
             if forbid:
                 raise CliError("tree DP does not take --forbid; use enumeration")
-            res = fam.CountResult(fam.indep_size_counts_tree_dp(g, job.r)[job.r], fam.TREE_DP)
-    elif method in ("auto", fam.ENUMERATION):
-        if method == "auto" and anchor is not None:
-            res = fam.star_size(g, anchor, job.r)
-        else:
-            counts = fam.indep_size_counts(g, anchor, forbid, max_size=job.r)
-            res = fam.CountResult(counts[job.r], fam.ENUMERATION)
+            res = fam.CountResult(fam.indep_size_counts_tree_dp(g, r)[r], fam.TREE_DP)
+    elif args.method == "auto" and anchor is not None:
+        res = fam.star_size(g, anchor, r)
     else:
-        raise CliError(f"unknown counting method {method!r}")
-    payload = {"graph": g.label or job.graph_source, "n": g.n, "r": job.r,
+        counts = fam.indep_size_counts(g, anchor, forbid, max_size=r)
+        res = fam.CountResult(counts[r], fam.ENUMERATION)
+    payload = {"graph": g.label or args.graph, "n": g.n, "r": r,
                "count": res.count, "method": res.method}
-    if job.fmt == "text":
+    if args.fmt == "text":
         stream.write(f"{res.count}\n")
     else:
-        _emit(stream, payload, job.fmt)
+        _emit(stream, payload, args.fmt)
     return EXIT_OK
 
 
-def _run_star(job: JobSpec, stream) -> int:
-    g = load_graph(job.graph_source)
-    if job.r is None:
-        raise CliError("star needs --r")
-    vertex = job.opt("vertex")
-    if vertex is not None:
-        res = fam.star_size(g, vertex, job.r)
-        payload = {"graph": g.label or job.graph_source, "n": g.n, "r": job.r,
-                   "vertex": vertex, "size": res.count, "method": res.method}
+def _run_star(args, stream) -> int:
+    g = load_graph(args.graph)
+    if args.vertex is not None:
+        res = fam.star_size(g, args.vertex, args.r)
+        payload = {"graph": g.label or args.graph, "n": g.n, "r": args.r,
+                   "vertex": args.vertex, "size": res.count, "method": res.method}
     else:
-        sizes = [fam.star_size(g, v, job.r).count for v in range(g.n)]
+        sizes = [fam.star_size(g, v, args.r).count for v in range(g.n)]
         top = max(sizes) if sizes else 0
-        payload = {"graph": g.label or job.graph_source, "n": g.n, "r": job.r,
+        payload = {"graph": g.label or args.graph, "n": g.n, "r": args.r,
                    "star_sizes": sizes, "max_size": top,
                    "max_vertex": sizes.index(top) if sizes else None}
-    _emit(stream, payload, job.fmt)
+    _emit(stream, payload, args.fmt)
     return EXIT_OK
 
 
-def _run_verdict(job: JobSpec, stream) -> int:
-    g = load_graph(job.graph_source)
-    budget = job.budget or vf.default_budget()
-    if job.command == "nonuniform-ekr":
-        rep = vf.nonuniform_ekr(g, budget)
+def _run_verdict(args, stream) -> int:
+    g = load_graph(args.graph)
+    if args.command == "nonuniform-ekr":
+        rep = vf.nonuniform_ekr(g, _budget(args))
     else:
-        if job.r is None:
-            raise CliError(f"{job.command} needs --r")
-        op = vf.is_strictly_r_ekr if job.command == "strict-ekr" else vf.is_r_ekr
-        rep = op(g, job.r, budget)
+        op = vf.is_strictly_r_ekr if args.command == "strict-ekr" else vf.is_r_ekr
+        rep = op(g, args.r, _budget(args))
     payload = rep.to_json_dict()
-    payload["graph"] = g.label or job.graph_source
-    _emit(stream, payload, job.fmt)
+    payload["graph"] = g.label or args.graph
+    _emit(stream, payload, args.fmt)
     return EXIT_BUDGET if rep.verdict == vf.BUDGET_EXCEEDED else EXIT_OK
 
 
-def _run_hk(job: JobSpec, stream) -> int:
-    g = load_graph(job.graph_source)
-    if job.r is None:
-        raise CliError("hk needs --r")
-    rep = vf.is_r_hk(g, job.r)
-    payload = rep.to_json_dict()
-    payload["graph"] = g.label or job.graph_source
-    _emit(stream, payload, job.fmt)
+def _run_hk(args, stream) -> int:
+    g = load_graph(args.graph)
+    payload = vf.is_r_hk(g, args.r).to_json_dict()
+    payload["graph"] = g.label or args.graph
+    _emit(stream, payload, args.fmt)
     return EXIT_OK
 
 
-def _run_spider_order(job: JobSpec, stream) -> int:
-    raw = job.opt("legs")
-    if not raw:
-        raise CliError("spider-order needs --legs")
-    legs = tuple(int(t) for t in raw.replace(",", " ").split())
+def _run_spider_order(args, stream) -> int:
+    legs = tuple(int(t) for t in args.legs.replace(",", " ").split())
     spec = gr.SpiderSpec(legs)
-    if job.r is None:
+    if args.r is None:
         payload = {"legs": list(legs), "order": list(spec.order),
                    "ordered_legs": [legs[i] for i in spec.order]}
     else:
-        payload = vf.spider_order_check(spec, job.r).to_json_dict()
-    _emit(stream, payload, job.fmt)
+        payload = vf.spider_order_check(spec, args.r).to_json_dict()
+    _emit(stream, payload, args.fmt)
     return EXIT_OK
 
 
-def _run_bounds(job: JobSpec, stream) -> int:
-    theorem = job.opt("theorem")
-    formula = job.opt("formula")
+def _run_bounds(args, stream) -> int:
+    theorem, formula, n, r = args.theorem, args.formula, args.n, args.r
     if (theorem is None) == (formula is None):
         raise CliError("bounds needs exactly one of --theorem/--formula")
-    n = job.opt("n")
     if formula is not None:
-        if n is None or job.r is None:
+        if n is None or r is None:
             raise CliError("--formula needs --n and --r")
         table = {"ekr": bnd.ekr_bound, "hm": bnd.hm_bound, "frankl": bnd.frankl_bound}
         if formula == "claim-star":
-            d = job.opt("d")
-            if d is None:
+            if args.d is None:
                 raise CliError("claim-star needs --d")
-            val = bnd.claim_star_lower(n, d, job.r)
-            payload = {"formula": formula, "n": n, "r": job.r, "d": d,
+            val = bnd.claim_star_lower(n, args.d, r)
+            payload = {"formula": formula, "n": n, "r": r, "d": args.d,
                        "value": str(val)}
         elif formula in table:
-            payload = {"formula": formula, "n": n, "r": job.r,
-                       "value": table[formula](n, job.r)}
+            payload = {"formula": formula, "n": n, "r": r,
+                       "value": table[formula](n, r)}
         else:
             raise CliError(f"unknown formula {formula!r}")
-        _emit(stream, payload, job.fmt)
+        _emit(stream, payload, args.fmt)
         return EXIT_OK
     if theorem not in bnd.THEOREM_IDS:
         raise CliError(f"unknown theorem id {theorem!r}; expected one of {bnd.THEOREM_IDS}")
@@ -259,22 +212,21 @@ def _run_bounds(job: JobSpec, stream) -> int:
         raise CliError("--theorem needs --n")
     kw = {"n": n}
     for key in ("d", "s", "k"):
-        v = job.opt(key)
+        v = getattr(args, key)
         if v is not None:
             kw[key] = v
-    c = job.opt("c")
-    if c is not None:
-        kw["c_density"] = Fraction(c)
-    if job.r is not None:
-        kw["r"] = job.r
+    if args.c is not None:
+        kw["c_density"] = Fraction(args.c)
+    if r is not None:
+        kw["r"] = r
     q = bnd.BoundQuery(**kw)
     admissible = bnd.rmax(theorem, q)
     payload = {"theorem": theorem, "n": n,
                "r_max": max(admissible) if admissible else 0,
                "admissible_r": admissible}
-    if job.r is not None:
+    if r is not None:
         app = bnd.hypothesis(theorem, q)
-        payload["hypothesis"] = {"r": job.r, "applicable": app.applicable,
+        payload["hypothesis"] = {"r": r, "applicable": app.applicable,
                                  "conditions": [list(c) for c in app.conditions],
                                  "threshold_r": app.threshold_r}
         if app.threshold_r is not None:
@@ -284,31 +236,25 @@ def _run_bounds(job: JobSpec, stream) -> int:
         app = bnd.hypothesis(theorem, probe)
         if app.threshold_r is not None:
             payload["threshold"] = app.threshold_r
-    _emit(stream, payload, job.fmt)
+    _emit(stream, payload, args.fmt)
     return EXIT_OK
 
 
-def _run_grid(job: JobSpec, stream) -> int:
-    suite = job.opt("suite", "all")
-    if job.fmt in ("csv", "text"):
-        bnd.write_grid_csv(suite, stream)
-    elif job.fmt == "json":
-        rows = bnd.run_grid(suite)
-        _emit(stream, {"suite": suite, "rows": [r._asdict() for r in rows],
+def _run_grid(args, stream) -> int:
+    if args.fmt == "json":
+        rows = bnd.run_grid(args.suite)
+        _emit(stream, {"suite": args.suite, "rows": [r._asdict() for r in rows],
                        "all_hold": all(r.holds for r in rows)}, "json")
     else:
-        raise CliError(f"format {job.fmt!r} not available for grid")
+        bnd.write_grid_csv(args.suite, stream)
     return EXIT_OK
 
 
-def _run_peel(job: JobSpec, stream) -> int:
-    g = load_graph(job.graph_source)
-    threshold = job.opt("threshold")
-    if threshold is None:
-        raise CliError("peel needs --threshold")
-    rep = bnd.peel(g, threshold)
+def _run_peel(args, stream) -> int:
+    g = load_graph(args.graph)
+    rep = bnd.peel(g, args.threshold)
     payload = {
-        "graph": g.label or job.graph_source,
+        "graph": g.label or args.graph,
         "n": g.n,
         "threshold": rep.threshold,
         "t": rep.t,
@@ -317,62 +263,35 @@ def _run_peel(job: JobSpec, stream) -> int:
         "residual_graph6": gr.emit_graph6(rep.residual),
         "certificates_ok": bnd.peel_certificates_ok(rep),
     }
-    c = job.opt("c")
-    if c is not None and job.r is not None:
-        checks = bnd.peel_bound_check(rep, Fraction(c), job.r)
+    if args.c is not None and args.r is not None:
+        checks = bnd.peel_bound_check(rep, Fraction(args.c), args.r)
         payload["bound_checks"] = {k: bool(v) for k, v in sorted(checks.items())}
-    _emit(stream, payload, job.fmt)
+    _emit(stream, payload, args.fmt)
     return EXIT_OK
 
 
-def _run_search(job: JobSpec, stream) -> int:
-    prop = tg.PROP_HK if job.command == "search-hk" else tg.PROP_EKR
-    budget = job.budget or vf.default_budget()
-    r_max = job.opt("r-max")
-    catalog = job.opt("catalog")
+def _run_search(args, stream) -> int:
+    prop = tg.PROP_HK if args.command == "search-hk" else tg.PROP_EKR
 
     def on_finding(f):
         stream.write(json.dumps({"finding": f.to_json_dict()}, sort_keys=True) + "\n")
 
-    if catalog is not None:
-        graphs = load_catalog(catalog)
-        summary = tg.search_catalog(prop, graphs, r_max=r_max, budget=budget,
-                                    on_finding=on_finding)
+    if args.catalog is not None:
+        summary = tg.search_catalog(prop, load_catalog(args.catalog), r_max=args.r_max,
+                                    budget=_budget(args), on_finding=on_finding)
     else:
-        n_max = job.opt("n-max")
-        if n_max is None:
-            raise CliError(f"{job.command} needs --n-max (or --catalog)")
-        n_min = job.opt("n-min", 2)
-        summary = tg.search_trees(prop, n_max, r_max=r_max, budget=budget,
-                                  n_min=n_min, on_finding=on_finding)
+        summary = tg.search_trees(prop, args.n_max, r_max=args.r_max, budget=_budget(args),
+                                  n_min=args.n_min, on_finding=on_finding)
     stream.write(json.dumps({"summary": summary.to_json_dict()}, sort_keys=True) + "\n")
     return EXIT_BUDGET if summary.budget_exceeded else EXIT_OK
 
 
-_RUNNERS = {
-    "count": _run_count,
-    "star": _run_star,
-    "ekr": _run_verdict,
-    "strict-ekr": _run_verdict,
-    "nonuniform-ekr": _run_verdict,
-    "hk": _run_hk,
-    "spider-order": _run_spider_order,
-    "bounds": _run_bounds,
-    "grid": _run_grid,
-    "peel": _run_peel,
-    "search-hk": _run_search,
-    "search-ekr": _run_search,
-}
-
-
-def run(job: JobSpec) -> int:
-    """Execute one job; returns the process exit code."""
-    if job.command not in _RUNNERS:
-        raise CliError(f"unknown command {job.command!r}")
-    if job.out:
-        with open(job.out, "w", encoding="utf-8") as fh:
-            return _RUNNERS[job.command](job, fh)
-    return _RUNNERS[job.command](job, sys.stdout)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            return args.run(args, fh)
+    return args.run(args, sys.stdout)
 
 
 # -- argument parsing ----------------------------------------------------
@@ -386,13 +305,15 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="ekrkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, graph=False, r=False, budget=False, fmt=("json", "text")):
+    def add(name, help_, run_, graph=False, r=None, budget=False, fmt=("json", "text")):
+        """Subcommand `name` run by `run_`; r is None, "optional" or "required"."""
         sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(run=run_)
         if graph:
             sp.add_argument("--graph", required=True,
                             help="generator (e.g. spider:2,3,4) or graph file")
-        if r:
-            sp.add_argument("--r", type=int, default=None, help="set size")
+        if r is not None:
+            sp.add_argument("--r", type=int, required=r == "required", help="set size")
         if budget:
             sp.add_argument("--budget", type=int, default=None,
                             help=f"search node budget (default ${vf.BUDGET_ENV} or "
@@ -401,24 +322,28 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", dest="fmt", choices=fmt, default=fmt[0])
         return sp
 
-    sp = add("count", "count independent r-sets", graph=True, r=True)
+    sp = add("count", "count independent r-sets", _run_count, graph=True, r="required")
     sp.add_argument("--anchor", type=int, default=None, help="count only sets containing this vertex")
     sp.add_argument("--forbid", default="", help="comma-separated vertices excluded from sets")
     sp.add_argument("--method", default="auto",
                     choices=("auto", fam.ENUMERATION, fam.TREE_DP, fam.CLOSED_FORM))
 
-    sp = add("star", "star sizes s_r(v)", graph=True, r=True)
+    sp = add("star", "star sizes s_r(v)", _run_star, graph=True, r="required")
     sp.add_argument("--vertex", type=int, default=None, help="single vertex (default: all)")
 
-    add("ekr", "exact EKR verdict", graph=True, r=True, budget=True)
-    add("strict-ekr", "exact strict-EKR verdict", graph=True, r=True, budget=True)
-    add("nonuniform-ekr", "EKR verdict over all set sizes at once", graph=True, budget=True)
-    add("hk", "is the max star on a leaf of this tree?", graph=True, r=True)
+    add("ekr", "exact EKR verdict", _run_verdict, graph=True, r="required", budget=True)
+    add("strict-ekr", "exact strict-EKR verdict", _run_verdict, graph=True, r="required",
+        budget=True)
+    add("nonuniform-ekr", "EKR verdict over all set sizes at once", _run_verdict,
+        graph=True, budget=True)
+    add("hk", "is the max star on a leaf of this tree?", _run_hk, graph=True, r="required")
 
-    sp = add("spider-order", "canonical leg order, optionally star-size checks", r=True)
+    sp = add("spider-order", "canonical leg order, optionally star-size checks",
+             _run_spider_order, r="optional")
     sp.add_argument("--legs", required=True, help="comma-separated leg lengths")
 
-    sp = add("bounds", "closed-form bounds and theorem applicability", r=True)
+    sp = add("bounds", "closed-form bounds and theorem applicability", _run_bounds,
+             r="optional")
     sp.add_argument("--theorem", default=None, help=f"one of {', '.join(bnd.THEOREM_IDS)}")
     sp.add_argument("--formula", default=None, help="ekr | hm | frankl | claim-star")
     sp.add_argument("--n", type=int, default=None)
@@ -427,56 +352,31 @@ def _build_parser() -> _Parser:
     sp.add_argument("--k", type=int, default=None, help="leg/distance parameter")
     sp.add_argument("--c", default=None, help="edge-density parameter (rational, e.g. 1/2)")
 
-    sp = add("grid", "inequality grid suites", fmt=("csv", "json", "text"))
+    sp = add("grid", "inequality grid suites", _run_grid, fmt=("csv", "json", "text"))
     sp.add_argument("--suite", default="all", choices=bnd.GRID_SUITES + ("all",))
 
-    sp = add("peel", "high-degree peeling with certificates", graph=True, r=True)
+    sp = add("peel", "high-degree peeling with certificates", _run_peel, graph=True,
+             r="optional")
     sp.add_argument("--threshold", type=int, required=True)
     sp.add_argument("--c", default=None, help="density used for the t-bound checks")
 
-    for name in ("search-hk", "search-ekr"):
-        sp = add(name, "counterexample sweep over trees or a catalog", budget=True)
-        sp.add_argument("--n-max", type=int, default=None)
+    hk = add("search-hk", "leaf-star sweep over all labeled trees", _run_search)
+    hk.add_argument("--n-max", type=int, required=True)
+    hk.set_defaults(catalog=None, budget=None)  # hk checks run no search
+    ekr = add("search-ekr", "EKR sweep over all labeled trees or a catalog", _run_search,
+              budget=True)
+    source = ekr.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n-max", type=int)
+    source.add_argument("--catalog", help="file of graphs (generator strings or graph6 lines)")
+    for sp in (hk, ekr):
         sp.add_argument("--n-min", type=int, default=2)
         sp.add_argument("--r-max", type=int, default=None)
-        if name == "search-ekr":
-            sp.add_argument("--catalog", default=None,
-                            help="file of graphs (generator strings or graph6 lines)")
     return p
 
 
-_OPTION_KEYS = ("method", "anchor", "forbid", "vertex", "legs", "theorem", "formula",
-                "n", "d", "s", "k", "c", "suite", "threshold", "catalog")
-
-
-def job_from_args(args: argparse.Namespace) -> JobSpec:
-    opts = []
-    ns = vars(args)
-    for key in _OPTION_KEYS:
-        if key in ns and ns[key] is not None:
-            opts.append((key, ns[key]))
-    for key in ("n_max", "n_min", "r_max"):
-        if key in ns and ns[key] is not None:
-            opts.append((key.replace("_", "-"), ns[key]))
-    budget = None
-    if ns.get("budget") is not None:
-        budget = vf.SearchBudget(ns["budget"])
-    return JobSpec(
-        command=args.command,
-        graph_source=ns.get("graph"),
-        r=ns.get("r"),
-        budget=budget,
-        out=ns.get("out"),
-        fmt=ns.get("fmt", "json"),
-        options=tuple(sorted(opts)),
-    )
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return run(job_from_args(args))
+        return run(_build_parser().parse_args(argv))
     except BrokenPipeError:
         # downstream consumer closed the stream (e.g. `| head`): exit quietly,
         # pointing stdout at devnull so interpreter shutdown can flush safely
@@ -485,7 +385,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError):
             pass
         return EXIT_OK
-    except (CliError, gr.GraphError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # CliError and GraphError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

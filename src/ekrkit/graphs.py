@@ -410,8 +410,11 @@ def _parse_int_args(arg: str, spec: str) -> list[int]:
         raise GeneratorError(f"bad integer parameters in generator {spec!r}")
 
 
+GENERATOR_KINDS = ("empty", "path", "cycle", "star", "spider", "kpartite", "tristar")
+
+
 def generate(spec: str) -> Graph:
-    """Build a named graph from a `kind:params` string.
+    """Build a named graph from a `kind:params` string, kind in GENERATOR_KINDS.
 
     Kinds: empty:n, path:n, cycle:n, star:k, spider:l1,...,lk,
     kpartite:n1,...,nk, tristar:h.

@@ -2,20 +2,20 @@
 
 Labeled trees come from full Pruefer-sequence sweeps; isomorphism classes
 are deduplicated by an integer rooted-at-centre key (the Aho-Hopcroft-Ullman
-encoding), and the canonical certificate string is built only for the first
-tree of each new class and for findings.  Free trees are also generated
-directly by leaf extension, which is vastly cheaper for the larger sizes the
-counterexample hunts need.
+encoding).  Free trees are also generated directly by leaf extension, which
+is vastly cheaper for the larger sizes the counterexample hunts need.
+`search_trees` (first labeled tree of each class) and `search_catalog` (an
+explicit list) feed one sweep loop, which checks the property at every
+admissible set size and builds the canonical certificate only for findings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import Graph, GraphError, bit_list, emit_graph6, max_independent_set_size
-from .verify import (BUDGET_EXCEEDED, NOT_EKR, SearchBudget, default_budget,
-                     is_r_ekr, is_r_hk)
+from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget, is_r_ekr, is_r_hk
 
 # number of free trees on n = 1..11 vertices
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235)
@@ -239,26 +239,60 @@ class SweepSummary:
         }
 
 
-def _check_one(prop: str, g: Graph, r: int, budget: SearchBudget):
-    """(is_finding, verdict, detail) for one graph at one set size."""
-    if prop == PROP_HK:
-        rep = is_r_hk(g, r)
-        if rep.holds:
-            return False, "holds", ()
-        detail = (("best_vertex", rep.best_vertex),
-                  ("star_sizes", list(rep.star_sizes)))
-        return True, "leaf_not_max", detail
-    if prop == PROP_EKR:
-        rep = is_r_ekr(g, r, budget)
-        if rep.verdict == NOT_EKR:
-            detail = (("max_star_size", rep.max_star_size),
-                      ("max_intersecting_size", rep.max_intersecting_size),
-                      ("witness", [bit_list(m) for m in rep.witness]))
-            return True, NOT_EKR, detail
-        if rep.verdict == BUDGET_EXCEEDED:
-            return True, BUDGET_EXCEEDED, (("nodes_explored", rep.nodes_explored),)
-        return False, rep.verdict, ()
-    raise GraphError(f"unknown sweep property {prop!r}")
+def _check_hk(g: Graph, r: int, budget: Optional[SearchBudget]):
+    rep = is_r_hk(g, r)
+    if rep.holds:
+        return "holds", None
+    return "leaf_not_max", (("best_vertex", rep.best_vertex),
+                            ("star_sizes", list(rep.star_sizes)))
+
+
+def _check_ekr(g: Graph, r: int, budget: Optional[SearchBudget]):
+    rep = is_r_ekr(g, r, budget)
+    if rep.verdict == NOT_EKR:
+        return NOT_EKR, (("max_star_size", rep.max_star_size),
+                         ("max_intersecting_size", rep.max_intersecting_size),
+                         ("witness", [bit_list(m) for m in rep.witness]))
+    if rep.verdict == BUDGET_EXCEEDED:
+        return BUDGET_EXCEEDED, (("nodes_explored", rep.nodes_explored),)
+    return rep.verdict, None
+
+
+# property -> check(g, r, budget) giving (verdict, detail); detail is None
+# unless the verdict is a finding
+_CHECKS = {PROP_HK: _check_hk, PROP_EKR: _check_ekr}
+
+
+def _sweep(prop: str, graphs: Iterable[Graph], r_max: Optional[int],
+           budget: Optional[SearchBudget], on_finding: Optional[Callable]) -> SweepSummary:
+    """Check prop on every graph at every r up to min(r_max, alpha).
+
+    Each graph counts once as seen and once as unique; the certificate (the
+    tree certificate for trees, graph6 otherwise) is built only for findings.
+    """
+    check = _CHECKS.get(prop)
+    if check is None:
+        raise GraphError(f"unknown sweep property {prop!r}")
+    seen = checks = blown = n_max = 0
+    findings = []
+    for g in graphs:
+        seen += 1
+        n_max = max(n_max, g.n)
+        alpha = max_independent_set_size(g)
+        r_hi = alpha if r_max is None else min(r_max, alpha)
+        for r in range(1, r_hi + 1):
+            checks += 1
+            verdict, detail = check(g, r, budget)
+            if verdict == BUDGET_EXCEEDED:
+                blown += 1
+            if detail is not None:
+                g6 = emit_graph6(g)
+                cert = tree_certificate(g.n, g.edges()) if g.is_tree() else g6
+                f = SweepFinding(g.n, r, cert, g6, verdict, detail)
+                findings.append(f)
+                if on_finding is not None:
+                    on_finding(f)
+    return SweepSummary(prop, n_max, seen, seen, checks, tuple(findings), blown)
 
 
 def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
@@ -267,71 +301,31 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
     """Sweep every labeled tree on n_min..n_max vertices for counterexamples.
 
     Pruefer sequences give all n^(n-2) labeled trees; isomorphism duplicates
-    are skipped via an integer class key, so each class is checked once for
-    every admissible set size r.  The certificate string is built only for
-    the first tree of each new class.
+    are skipped via an integer class key, so the first tree of each class is
+    checked once for every admissible set size r.
     """
-    if prop == PROP_EKR:
-        budget = budget or default_budget()
     if n_max < n_min:
         raise GraphError(f"n_max={n_max} below n_min={n_min}")
     labeled = 0
-    unique = 0
-    checks = 0
-    blown = 0
-    findings = []
-    for n in range(n_min, n_max + 1):
-        seen = set()
-        shapes = {}
-        for edges in iter_labeled_trees(n):
-            labeled += 1
-            key = _class_key(n, edges, shapes)
-            if key in seen:
-                continue
-            seen.add(key)
-            unique += 1
-            cert = tree_certificate(n, edges)
-            g = Graph(n, edges, label=f"tree-{n}-{len(seen) - 1}")
-            alpha = max_independent_set_size(g)
-            r_hi = alpha if r_max is None else min(r_max, alpha)
-            for r in range(1, r_hi + 1):
-                checks += 1
-                bad, verdict, detail = _check_one(prop, g, r, budget)
-                if verdict == BUDGET_EXCEEDED:
-                    blown += 1
-                if bad:
-                    f = SweepFinding(n, r, cert, emit_graph6(g), verdict, detail)
-                    findings.append(f)
-                    if on_finding is not None:
-                        on_finding(f)
-    return SweepSummary(prop, n_max, labeled, unique, checks, tuple(findings), blown)
+
+    def first_of_each_class():
+        nonlocal labeled
+        for n in range(n_min, n_max + 1):
+            seen = set()
+            shapes = {}
+            for edges in iter_labeled_trees(n):
+                labeled += 1
+                key = _class_key(n, edges, shapes)
+                if key not in seen:
+                    seen.add(key)
+                    yield Graph(n, edges, label=f"tree-{n}-{len(seen) - 1}")
+
+    summary = _sweep(prop, first_of_each_class(), r_max, budget, on_finding)
+    return replace(summary, n_max=n_max, labeled_seen=labeled)
 
 
 def search_catalog(prop: str, graphs: list[Graph], r_max: Optional[int] = None,
                    budget: Optional[SearchBudget] = None,
                    on_finding: Optional[Callable] = None) -> SweepSummary:
     """Run the same per-graph checks over an explicit catalog of graphs."""
-    if prop == PROP_EKR:
-        budget = budget or default_budget()
-    checks = 0
-    blown = 0
-    findings = []
-    n_max = 0
-    for g in graphs:
-        n_max = max(n_max, g.n)
-        alpha = max_independent_set_size(g)
-        r_hi = alpha if r_max is None else min(r_max, alpha)
-        for r in range(1, r_hi + 1):
-            checks += 1
-            bad, verdict, detail = _check_one(prop, g, r, budget)
-            if verdict == BUDGET_EXCEEDED:
-                blown += 1
-            if bad:
-                g6 = emit_graph6(g)
-                cert = tree_certificate(g.n, g.edges()) if g.is_tree() else g6
-                f = SweepFinding(g.n, r, cert, g6, verdict, detail)
-                findings.append(f)
-                if on_finding is not None:
-                    on_finding(f)
-    return SweepSummary(prop, n_max, len(graphs), len(graphs), checks,
-                        tuple(findings), blown)
+    return _sweep(prop, graphs, r_max, budget, on_finding)

@@ -351,6 +351,12 @@ def test_run_grid_and_csv():
         B.run_grid("nope")
 
 
+def test_run_grid_all_rejects_parameters():
+    # the suites take different parameters, so "all" runs each at its defaults
+    with pytest.raises(GraphError, match="n_max"):
+        B.run_grid("all", n_max=6)
+
+
 def test_write_grid_csv_streams_the_same_text():
     out = io.StringIO()
     B.write_grid_csv("hm-identity", out)

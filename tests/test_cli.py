@@ -6,7 +6,7 @@ import pytest
 
 import ekrkit.bounds as bounds
 import ekrkit.cli as cli
-from ekrkit.cli import CliError, JobSpec, main
+from ekrkit.cli import main
 
 
 def run_main(capsys, *argv):
@@ -302,10 +302,96 @@ def test_broken_pipe_exits_quietly(monkeypatch):
     assert main(["grid", "--suite", "hm-identity"]) == 0
 
 
-def test_jobspec_plumbing():
-    job = JobSpec("count", graph_source="path:5", r=2,
-                  options=(("method", "auto"),))
-    assert job.opt("method") == "auto"
-    assert job.opt("missing", 7) == 7
-    with pytest.raises(CliError):
-        cli.run(JobSpec("mystery"))
+def test_unknown_command_is_an_input_error(capsys):
+    code, out, err = run_main(capsys, "mystery")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--graph", "path:5", "--r", "2", "--out", "{missing}/x.json"],
+    ["count", "--graph", "{dir}", "--r", "2"],
+    ["search-ekr", "--catalog", "{dir}"],
+    ["search-ekr", "--catalog", "{missing}/catalog.txt"],
+])
+def test_file_errors_are_input_errors(capsys, tmp_path, argv):
+    argv = [a.format(dir=tmp_path, missing=tmp_path / "missing") for a in argv]
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hk", "--graph", "path:5"],
+    ["search-hk"],
+    ["search-hk", "--n-max", "5", "--budget", "3"],  # hk checks run no search
+    ["search-ekr"],
+    ["search-ekr", "--n-max", "3", "--catalog", "catalog.txt"],
+])
+def test_argument_errors_are_input_errors(capsys, monkeypatch, tmp_path, argv):
+    (tmp_path / "catalog.txt").write_text("kpartite:3,3\n", encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:"), err
+
+
+# -- goldens: stdout bytes of every README command -------------------------------
+
+# (argv, exit code, SHA-256 of stdout): bytes that no refactor of the CLI may
+# change; "catalog.txt" holds the two lines `kpartite:3,3` and `EFz_`
+GOLDENS = [
+    ("count --graph path:5 --r 2", 0,
+     "5ab936b9e607ac2f3f4dc2de18b8d0955e873d08626c6b8bf74bd7ddbd199737"),
+    ("count --graph path:5 --r 2 --format text", 0,
+     "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7"),
+    ("star --graph spider:2,2,2 --r 2", 0,
+     "17b239aa2c504ea6d8b6ffc28aed43135bb6f35cc00440c8cd2023a57ca793fc"),
+    ("ekr --graph spider:2,2,2 --r 2", 0,
+     "987d3a45ffe74ac986beb9e569a7367e3e5e786b7c0493fae43758511ca74751"),
+    ("ekr --graph kpartite:3,3 --r 2", 0,
+     "ee0c10ad78d5085fd1cb964e993cee9f62c0278ce4e5efe764b9cc7e11a3f7b9"),
+    ("strict-ekr --graph empty:7 --r 3", 0,
+     "984b9bfe94371699c983ece1a634a168f9f38551a8404c98d70da9dca1cfc69a"),
+    ("nonuniform-ekr --graph empty:5", 0,
+     "d86bf1752edb9fbba32a02b758b3c8fcc80fbb90a91d0cbb5d9753790c6a4b68"),
+    ("hk --graph path:6 --r 2", 0,
+     "151562129120bed988751ab89a31b82ca239a47ca14ce9a4b4bafe7409046cc2"),
+    ("spider-order --legs 3,2,4,1", 0,
+     "ca79cfac2662a8bd32d85eb934004c027adfe8f53da992973c14000579d93cfd"),
+    ("spider-order --legs 2,2,2 --r 2", 0,
+     "294eab2c43542d5e42e49e2f5a87985afe2e4304c5efa1f14f340104b2a24e1f"),
+    ("bounds --theorem T5 --n 16", 0,
+     "bd5c1e1bb2a0644d92f5fd8ebf6458d5b796b452a94665ee9033c9e0b7acccb4"),
+    ("bounds --formula hm --n 9 --r 4", 0,
+     "fbd86118a120e915573f2e852581e1f237fce4fca1d5cb02cab1b518fdde01f0"),
+    ("grid --suite all", 0,
+     "afbd96a35e13b17a3154681e7dc805ad87ade37b41f84c7e2e83a942203d3763"),
+    ("peel --graph star:9 --threshold 6 --c 1 --r 2", 0,
+     "2a71808ffb6658e61bdc02861ba10834f1d2b940e7b79acf8ec911778b247ff0"),
+    ("search-hk --n-max 8 --r-max 4", 0,
+     "9b86e0a2e494dcd2df1b21b8e6fc3bf5907715985bb91840a1bd781dac40b2e0"),
+    ("search-ekr --catalog catalog.txt --r-max 3", 0,
+     "c825595c5cdd289b45e2502b31bf69748b80664d98d97fb443f4be5de7c04277"),
+    ("search-ekr --n-max 7 --r-max 3", 0,
+     "2dc4462fb8890da8cd2d66daa36895a03b4363d058306a2af17e824a423c3bb0"),
+]
+
+
+class _Sha256Stdout:
+    """Stand-in for sys.stdout that keeps only the digest of what is written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDENS, ids=[g[0] for g in GOLDENS])
+def test_cli_goldens(monkeypatch, tmp_path, command, code, digest):
+    (tmp_path / "catalog.txt").write_text("kpartite:3,3\nEFz_\n", encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EKRKIT_MAX_NODES", raising=False)
+    stdout = _Sha256Stdout()
+    monkeypatch.setattr(cli.sys, "stdout", stdout)
+    assert main(command.split()) == code
+    assert stdout.digest.hexdigest() == digest

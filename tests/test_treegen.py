@@ -211,6 +211,27 @@ def test_search_trees_validation():
         T.search_trees(T.PROP_HK, 2, n_min=3)
     with pytest.raises(GraphError):
         T.search_trees("nope", 4)
+    with pytest.raises(GraphError):
+        T.search_catalog("nope", [])
+
+
+@pytest.mark.parametrize("prop,finding_ns", [(T.PROP_HK, set()),
+                                              (T.PROP_EKR, {4, 5, 6, 7, 8})])
+def test_labeled_and_catalog_sweeps_agree(prop, finding_ns):
+    # one class representative per free tree: both entry points must check the
+    # same (tree, r) pairs and report the same findings
+    ns = set()
+    for n in range(2, 9):
+        labeled = T.search_trees(prop, n, n_min=n, r_max=3)
+        catalog = T.search_catalog(prop, T.free_trees(n), r_max=3)
+        assert labeled.unique_graphs == catalog.unique_graphs == T.FREE_TREE_COUNTS[n - 1]
+        assert (labeled.checks, labeled.budget_exceeded) == (
+            catalog.checks, catalog.budget_exceeded), n
+        assert ({(f.r, f.certificate, f.verdict) for f in labeled.findings}
+                == {(f.r, f.certificate, f.verdict) for f in catalog.findings}), n
+        if catalog.findings:
+            ns.add(n)
+    assert ns == finding_ns
 
 
 def test_search_catalog_flags_balanced_bipartite():
