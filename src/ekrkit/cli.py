@@ -251,6 +251,8 @@ def _run_grid(args, stream) -> int:
 
 
 def _run_peel(args, stream) -> int:
+    if (args.c is None) != (args.r is None):
+        raise CliError("peel takes --c and --r together (both feed the bound checks)")
     g = load_graph(args.graph)
     rep = bnd.peel(g, args.threshold)
     payload = {
@@ -263,7 +265,7 @@ def _run_peel(args, stream) -> int:
         "residual_graph6": gr.emit_graph6(rep.residual),
         "certificates_ok": bnd.peel_certificates_ok(rep),
     }
-    if args.c is not None and args.r is not None:
+    if args.c is not None:
         checks = bnd.peel_bound_check(rep, Fraction(args.c), args.r)
         payload["bound_checks"] = {k: bool(v) for k, v in sorted(checks.items())}
     _emit(stream, payload, args.fmt)
@@ -277,21 +279,37 @@ def _run_search(args, stream) -> int:
         stream.write(json.dumps({"finding": f.to_json_dict()}, sort_keys=True) + "\n")
 
     if args.catalog is not None:
+        if args.n_min is not None:
+            raise CliError("--n-min applies to --n-max sweeps, not to --catalog")
         summary = tg.search_catalog(prop, load_catalog(args.catalog), r_max=args.r_max,
                                     budget=_budget(args), on_finding=on_finding)
     else:
         summary = tg.search_trees(prop, args.n_max, r_max=args.r_max, budget=_budget(args),
-                                  n_min=args.n_min, on_finding=on_finding)
+                                  n_min=2 if args.n_min is None else args.n_min,
+                                  on_finding=on_finding)
     stream.write(json.dumps({"summary": summary.to_json_dict()}, sort_keys=True) + "\n")
     return EXIT_BUDGET if summary.budget_exceeded else EXIT_OK
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command; returns the process exit code."""
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            return args.run(args, fh)
-    return args.run(args, sys.stdout)
+    """Execute one parsed command; returns the process exit code.
+
+    With --out the command writes to a temporary file beside the target,
+    which replaces the target only once the command returns, so a command
+    that fails leaves an existing file as it was.
+    """
+    if not args.out:
+        return args.run(args, sys.stdout)
+    tmp = f"{args.out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            code = args.run(args, fh)
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    return code
 
 
 # -- argument parsing ----------------------------------------------------
@@ -360,16 +378,18 @@ def _build_parser() -> _Parser:
     sp.add_argument("--threshold", type=int, required=True)
     sp.add_argument("--c", default=None, help="density used for the t-bound checks")
 
-    hk = add("search-hk", "leaf-star sweep over all labeled trees", _run_search)
+    hk = add("search-hk", "leaf-star sweep over all labeled trees", _run_search,
+             fmt=("json",))
     hk.add_argument("--n-max", type=int, required=True)
     hk.set_defaults(catalog=None, budget=None)  # hk checks run no search
     ekr = add("search-ekr", "EKR sweep over all labeled trees or a catalog", _run_search,
-              budget=True)
+              budget=True, fmt=("json",))
     source = ekr.add_mutually_exclusive_group(required=True)
     source.add_argument("--n-max", type=int)
     source.add_argument("--catalog", help="file of graphs (generator strings or graph6 lines)")
     for sp in (hk, ekr):
-        sp.add_argument("--n-min", type=int, default=2)
+        sp.add_argument("--n-min", type=int, default=None,
+                        help="smallest tree size of an --n-max sweep (default 2)")
         sp.add_argument("--r-max", type=int, default=None)
     return p
 

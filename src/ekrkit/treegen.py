@@ -2,8 +2,11 @@
 
 Labeled trees come from full Pruefer-sequence sweeps; isomorphism classes
 are deduplicated by an integer rooted-at-centre key (the Aho-Hopcroft-Ullman
-encoding).  Free trees are also generated directly by leaf extension, which
-is vastly cheaper for the larger sizes the counterexample hunts need.
+encoding).  The labeled sweep first keys each sequence by the AHU code of its
+tree rooted at vertex n-1, built during the decode itself, and decodes and
+centre-keys only the trees whose rooted shape is new.  Free trees are also
+generated directly by leaf extension, which is vastly cheaper for the larger
+sizes the counterexample hunts need.
 `search_trees` (first labeled tree of each class) and `search_catalog` (an
 explicit list) feed one sweep loop, which checks the property at every
 admissible set size and builds the canonical certificate only for findings.
@@ -62,6 +65,42 @@ def iter_labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
         return
     for seq in product(range(n), repeat=n - 2):
         yield prufer_decode(seq, n)
+
+
+def _prufer_rooted_code(seq: tuple, n: int, shapes: dict) -> int:
+    """AHU code of the tree with Pruefer sequence seq (n >= 3), rooted at n-1.
+
+    The decode of `prufer_decode`, without building edges: vertex n-1 is
+    never removed, so each vertex removed as a leaf already has all its
+    children and its remaining neighbour is its parent.  Its code is the int
+    that `shapes` maps the sorted tuple of its children's codes to (new
+    tuples get the next int), so trees coded against one `shapes` dict have
+    equal codes iff they are isomorphic as trees rooted at n-1.
+    """
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    kids = [[] for _ in range(n)]
+    ptr = deg.index(1)
+    leaf = ptr
+    for x in seq:
+        k = kids[leaf]
+        k.sort()
+        kids[x].append(shapes.setdefault(tuple(k), len(shapes)))
+        deg[x] -= 1
+        if deg[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    k = kids[leaf]
+    k.sort()
+    root = kids[n - 1]
+    root.append(shapes.setdefault(tuple(k), len(shapes)))
+    root.sort()
+    return shapes.setdefault(tuple(root), len(shapes))
 
 
 def _class_key(n: int, edges, shapes: dict) -> tuple:
@@ -301,8 +340,11 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
     """Sweep every labeled tree on n_min..n_max vertices for counterexamples.
 
     Pruefer sequences give all n^(n-2) labeled trees; isomorphism duplicates
-    are skipped via an integer class key, so the first tree of each class is
-    checked once for every admissible set size r.
+    are skipped, so the first tree of each class is checked once for every
+    admissible set size r.  Each sequence is first coded as a tree rooted at
+    vertex n-1; rooted isomorphism implies free isomorphism, so only a tree
+    whose rooted code is new can open a class, and only such a tree is
+    decoded and given the integer class key.
     """
     if n_max < n_min:
         raise GraphError(f"n_max={n_max} below n_min={n_min}")
@@ -311,10 +353,18 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
     def first_of_each_class():
         nonlocal labeled
         for n in range(n_min, n_max + 1):
-            seen = set()
-            shapes = {}
-            for edges in iter_labeled_trees(n):
+            if n <= 2:  # one tree, no sequence
                 labeled += 1
+                yield Graph(n, prufer_decode((), n), label=f"tree-{n}-0")
+                continue
+            rooted, seen, shapes = set(), set(), {}
+            for seq in product(range(n), repeat=n - 2):
+                labeled += 1
+                code = _prufer_rooted_code(seq, n, shapes)
+                if code in rooted:
+                    continue
+                rooted.add(code)
+                edges = prufer_decode(seq, n)
                 key = _class_key(n, edges, shapes)
                 if key not in seen:
                     seen.add(key)

@@ -274,6 +274,20 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["count"] == 6
 
 
+def test_failed_command_keeps_existing_out_file(capsys, tmp_path):
+    target = tmp_path / "keep.json"
+    target.write_bytes(b'{"count": 6}\n')
+    code, out, err = run_main(capsys, "count", "--graph", str(tmp_path / "nope.g6"),
+                              "--r", "2", "--out", str(target))
+    assert code == 1 and err.startswith("error:")
+    assert target.read_bytes() == b'{"count": 6}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.json"]
+    code, out, err = run_main(capsys, "count", "--graph", "path:5", "--r", "3",
+                              "--out", str(target))
+    assert code == 0 and json.loads(target.read_text())["count"] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.json"]
+
+
 def test_graph_file_loading(capsys, tmp_path):
     edges = tmp_path / "g.edges"
     edges.write_text("# a path on four vertices\n0 1\n1 2\n2 3\n", encoding="ascii")
@@ -325,6 +339,11 @@ def test_file_errors_are_input_errors(capsys, tmp_path, argv):
     ["search-hk", "--n-max", "5", "--budget", "3"],  # hk checks run no search
     ["search-ekr"],
     ["search-ekr", "--n-max", "3", "--catalog", "catalog.txt"],
+    ["search-hk", "--n-max", "3", "--format", "text"],  # sweeps print JSON lines only
+    ["search-ekr", "--n-max", "3", "--format", "text"],
+    ["search-ekr", "--catalog", "catalog.txt", "--n-min", "3"],
+    ["peel", "--graph", "star:9", "--threshold", "6", "--c", "1"],  # --c needs --r
+    ["peel", "--graph", "star:9", "--threshold", "6", "--r", "2"],
 ])
 def test_argument_errors_are_input_errors(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "catalog.txt").write_text("kpartite:3,3\n", encoding="ascii")

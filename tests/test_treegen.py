@@ -1,12 +1,13 @@
 import hashlib
 import random
-from itertools import combinations
+from dataclasses import replace
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
 
 import ekrkit.treegen as T
-from ekrkit.graphs import Graph, GraphError, generate
+from ekrkit.graphs import Graph, GraphError, generate, max_independent_set_size
 from ekrkit.verify import SearchBudget
 
 import helpers as H
@@ -147,6 +148,15 @@ def test_class_key_invariant_under_relabeling_and_separates_free_trees():
         assert len(keys) == T.FREE_TREE_COUNTS[n - 1], n
 
 
+def test_prufer_rooted_codes_count_rooted_trees():
+    # distinct codes over all sequences = rooted trees on n vertices (A000081)
+    for n, want in [(3, 2), (4, 4), (5, 9), (6, 20), (7, 48), (8, 115)]:
+        shapes = {}
+        codes = {T._prufer_rooted_code(seq, n, shapes)
+                 for seq in product(range(n), repeat=n - 2)}
+        assert len(codes) == want, n
+
+
 def test_free_trees_labels_edges_and_order_pinned():
     # digest of the free trees and certificates as first released, n = 1..10
     h = hashlib.sha256()
@@ -204,6 +214,40 @@ def test_search_trees_ekr_finds_star_counterexample():
     d = f.to_json_dict()
     assert d["certificate"] == T.tree_certificate(4, generate("star:3").edges())
     assert d["detail"]["max_intersecting_size"] == 3
+
+
+@pytest.fixture(scope="module")
+def reference_trees():
+    """First labeled tree of each class for n = 2..8, keying every tree."""
+    reps = []
+    for n in range(2, 9):
+        shapes, seen = {}, set()
+        for edges in T.iter_labeled_trees(n):
+            key = T._class_key(n, edges, shapes)
+            if key not in seen:
+                seen.add(key)
+                reps.append(Graph(n, edges, label=f"tree-{n}-{len(seen) - 1}"))
+    return reps
+
+
+def test_search_trees_checks_the_reference_representatives(monkeypatch, reference_trees):
+    checked = []
+
+    def alpha(g):
+        checked.append((g.label, g.edges()))
+        return max_independent_set_size(g)
+
+    monkeypatch.setattr(T, "max_independent_set_size", alpha)
+    T.search_trees(T.PROP_HK, 8, r_max=1)
+    assert checked == [(g.label, g.edges()) for g in reference_trees]
+
+
+def test_search_trees_ekr_matches_reference_catalog(reference_trees):
+    summary = T.search_trees(T.PROP_EKR, 8, r_max=3)
+    reference = T.search_catalog(T.PROP_EKR, reference_trees, r_max=3)
+    assert summary.labeled_seen == sum(n ** (n - 2) for n in range(2, 9)) == 280392
+    assert summary.to_json_dict() == replace(
+        reference, labeled_seen=summary.labeled_seen).to_json_dict()
 
 
 def test_search_trees_validation():
