@@ -69,10 +69,11 @@ def load_catalog(path: str) -> list[gr.Graph]:
     return out
 
 
-def _parse_vertex_set(arg: str) -> int:
-    if not arg.strip():
-        return 0
-    return gr.mask_of(int(t) for t in arg.replace(",", " ").split())
+def _parse_vertex_set(arg: str, n: int) -> int:
+    """Comma-separated vertices as a mask.  A negative vertex becomes n, which
+    lies outside the graph too, so the range check still rejects it."""
+    vertices = [int(t) for t in arg.replace(",", " ").split()]
+    return gr.mask_of(v if v >= 0 else n for v in vertices)
 
 
 def _budget(args) -> Optional[vf.SearchBudget]:
@@ -108,7 +109,9 @@ def _emit_text(stream, payload, prefix=""):
 def _run_count(args, stream) -> int:
     g = load_graph(args.graph)
     r, anchor = args.r, args.anchor
-    forbid = _parse_vertex_set(args.forbid)
+    forbid = _parse_vertex_set(args.forbid, g.n)
+    # rejects r < 0, a bad anchor and a bad forbid set; r > n counts 0 sets
+    fam.FamilyQuery(g, min(r, g.n), anchor, forbid)
     if args.method == fam.CLOSED_FORM:
         if anchor is not None or forbid:
             raise CliError("closed form has no anchored/restricted variant")
@@ -116,15 +119,15 @@ def _run_count(args, stream) -> int:
             raise CliError("closed form applies to paths only")
         res = fam.count_path_rsets(g.n, r)
     elif args.method == fam.TREE_DP:
+        if forbid:
+            raise CliError("tree DP does not take --forbid; use enumeration")
         if anchor is not None:
             res = fam.star_size(g, anchor, r, method=fam.TREE_DP)
         else:
-            if forbid:
-                raise CliError("tree DP does not take --forbid; use enumeration")
             res = fam.CountResult(fam.indep_size_counts_tree_dp(g, r)[r], fam.TREE_DP)
-    elif args.method == "auto" and anchor is not None:
+    elif args.method == "auto" and anchor is not None and not forbid:
         res = fam.star_size(g, anchor, r)
-    else:
+    else:  # enumeration; auto without --anchor or with --forbid
         counts = fam.indep_size_counts(g, anchor, forbid, max_size=r)
         res = fam.CountResult(counts[r], fam.ENUMERATION)
     payload = {"graph": g.label or args.graph, "n": g.n, "r": r,

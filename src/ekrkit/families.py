@@ -181,84 +181,24 @@ def _div(a: list[int], b: list[int], cap: int) -> list[int]:
     return out
 
 
-def _component_polys(g: Graph, root: int, comp: int, cap: int) -> tuple[list[int], list[int]]:
-    # inc[s]/exc[s]: independent s-sets of this component with root in/out
-    order = [root]
-    parent = {root: -1}
-    for u in order:
-        for w in iter_bits(g.adj[u] & comp):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    inc = {u: [0, 1] for u in order}
-    exc = {u: [1] for u in order}
-    for u in reversed(order):
-        if u == root:
-            break
-        p = parent[u]
-        inc[p] = _conv(inc[p], exc[u], cap)
-        exc[p] = _conv(exc[p], _add(inc[u], exc[u]), cap)
-    return inc[root], exc[root]
+def _rooted_polys(g: Graph, cap: int, first: int = 0):
+    """The down pass shared by every tree DP: (order, parent, roots, inc, exc).
 
-
-def _forest_polys(g: Graph, cap: int):
-    if not g.is_forest():
-        raise GraphError("tree DP requires a forest")
-    for comp in g.components():
-        root = (comp & -comp).bit_length() - 1
-        yield comp, root, _component_polys(g, root, comp, cap)
-
-
-def indep_size_counts_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[int]:
-    """Per-size independent set counts of a forest via child convolution."""
-    cap = g.n if max_size is None else max_size
-    total = [1]
-    for _comp, _root, (inc, exc) in _forest_polys(g, cap):
-        total = _conv(total, _add(inc, exc), cap)
-    return _fit(total, cap)
-
-
-def star_vector_tree_dp(g: Graph, v: int, max_size: Optional[int] = None) -> list[int]:
-    """counts[s] = independent s-sets of the forest g containing v."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    cap = g.n if max_size is None else max_size
-    if not g.is_forest():
-        raise GraphError("tree DP requires a forest")
-    total = None
-    for comp in g.components():
-        if comp >> v & 1:
-            inc, _exc = _component_polys(g, v, comp, cap)
-            total = inc if total is None else _conv(total, inc, cap)
-        else:
-            root = (comp & -comp).bit_length() - 1
-            inc, exc = _component_polys(g, root, comp, cap)
-            both = _add(inc, exc)
-            total = both if total is None else _conv(total, both, cap)
-    return _fit(total, cap)
-
-
-def star_vectors_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[list[int]]:
-    """star_vector_tree_dp(g, v, max_size) for every vertex v of the forest g.
-
-    One rerooting pass instead of one DP per vertex: a pass down gives each
-    subtree's (inc, exc) polynomials, and a pass up recovers, for each child,
-    the rest of the tree as seen from it by dividing its parent's whole-tree
-    polynomials by the child's factor.  Every divisor has constant term 1,
-    so the truncated series division is exact.  Other components enter as
-    the product of their totals.
+    Roots the component of `first` at `first` and every other component at
+    its smallest vertex; `roots` lists them in that order.  `order` is
+    breadth-first, one component after another, so parents come before
+    their children.  inc[u][s] / exc[u][s] count the independent s-sets of
+    u's subtree with u in / out, truncated after x^cap.  Raises GraphError
+    unless g is a forest.
     """
     n = g.n
-    cap = n if max_size is None else max_size
-    if not 0 <= cap <= n:
-        raise GraphError(f"r={cap} out of range")
     adj = g.adj
     parent = [-1] * n
-    order = []  # breadth-first, one component after another
+    order = []
     roots = []
     seen = 0
     i = 0
-    for s in range(n):
+    for s in (first, *range(n)):
         if seen >> s & 1:
             continue
         roots.append(s)
@@ -281,6 +221,51 @@ def star_vectors_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[list[
         if p >= 0:
             inc[p] = _conv(inc[p], exc[u], cap)
             exc[p] = _conv(exc[p], _add(inc[u], exc[u]), cap)
+    return order, parent, roots, inc, exc
+
+
+def indep_size_counts_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[int]:
+    """Per-size independent set counts of a forest: the product of the
+    roots' totals inc + exc after one down pass."""
+    cap = g.n if max_size is None else max_size
+    _order, _parent, roots, inc, exc = _rooted_polys(g, cap)
+    total = [1]
+    for s in roots:
+        total = _conv(total, _add(inc[s], exc[s]), cap)
+    return _fit(total, cap)
+
+
+def star_vector_tree_dp(g: Graph, v: int, max_size: Optional[int] = None) -> list[int]:
+    """counts[s] = independent s-sets of the forest g containing v.
+
+    One down pass with v's component rooted at v: inc[v] times the other
+    components' totals.  The per-vertex reference for star_vectors_tree_dp.
+    """
+    if not 0 <= v < g.n:
+        raise GraphError(f"vertex {v} out of range")
+    cap = g.n if max_size is None else max_size
+    _order, _parent, roots, inc, exc = _rooted_polys(g, cap, first=v)
+    total = inc[v]
+    for s in roots[1:]:
+        total = _conv(total, _add(inc[s], exc[s]), cap)
+    return _fit(total, cap)
+
+
+def star_vectors_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[list[int]]:
+    """star_vector_tree_dp(g, v, max_size) for every vertex v of the forest g.
+
+    One rerooting pass instead of one DP per vertex: the down pass gives each
+    subtree's (inc, exc) polynomials, and a pass up recovers, for each child,
+    the rest of the tree as seen from it by dividing its parent's whole-tree
+    polynomials by the child's factor.  Every divisor has constant term 1,
+    so the truncated series division is exact.  Other components enter as
+    the product of their totals.
+    """
+    n = g.n
+    cap = n if max_size is None else max_size
+    if not 0 <= cap <= n:
+        raise GraphError(f"r={cap} out of range")
+    order, parent, roots, inc, exc = _rooted_polys(g, cap)
     forest = [1]
     for s in roots:
         forest = _conv(forest, _add(inc[s], exc[s]), cap)

@@ -27,7 +27,6 @@ nodes of this symmetry-reduced search.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -182,8 +181,8 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
     best = floor
     best_sel = None
     nodes = 0
+    exceeded = False
     orbits = _orbit_masks(sets, automorphism_generators(g))
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * k + 1000))
 
     def matching(allowed: int) -> int:
         m = 0
@@ -198,56 +197,50 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
                 m += 1
         return m
 
-    def rec(allowed: int, common: int, size: int, sel: int, root: bool):
-        nonlocal best, best_sel, nodes
-        while True:
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceeded
-            # absorb candidates intersecting everything still allowed
-            m = allowed
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                m ^= low
-                if not dnb[i] & allowed:
-                    allowed ^= low
-                    sel |= low
-                    size += 1
-                    common &= sets[i]
-            if size and common:
-                for x in iter_bits(common):
-                    if not allowed & ~contains[x]:
-                        return  # x can no longer be evicted from the core
-            if not allowed:
-                if size > best and (common == 0 or size == 0):
-                    best, best_sel = size, sel
-                return
-            cap = size + allowed.bit_count()
-            if cap <= best or cap - matching(allowed) <= best:
-                return
-            pick, deg = -1, -1
-            m = allowed
-            while m:
-                low = m & -m
-                i = low.bit_length() - 1
-                m ^= low
-                d = (dnb[i] & allowed).bit_count()
-                if d > deg:
-                    pick, deg = i, d
-            pb = 1 << pick
-            rec(allowed & ~(dnb[pick] | pb), common & sets[pick], size + 1, sel | pb, False)
-            # tail-iterate the exclude branch; the root drops pick's whole orbit
-            if root:
-                allowed &= ~orbits[pick]
-            else:
-                allowed ^= pb
-
-    exceeded = False
-    try:
-        rec(full, -1, 0, 0, True)
-    except BudgetExceeded:
-        exceeded = True
+    # depth first: each node pushes its exclude continuation (the state after
+    # absorbing, minus the pick, or at the root minus the pick's whole orbit)
+    # and then its include child, which is popped next
+    stack = [(full, -1, 0, 0, True)]
+    while stack:
+        allowed, common, size, sel, root = stack.pop()
+        nodes += 1
+        if nodes > max_nodes:
+            exceeded = True
+            break
+        # absorb candidates intersecting everything still allowed
+        m = allowed
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            m ^= low
+            if not dnb[i] & allowed:
+                allowed ^= low
+                sel |= low
+                size += 1
+                common &= sets[i]
+        if size and common and any(not allowed & ~contains[x] for x in iter_bits(common)):
+            continue  # a core vertex x can no longer be evicted
+        if not allowed:
+            if size > best and (common == 0 or size == 0):
+                best, best_sel = size, sel
+            continue
+        cap = size + allowed.bit_count()
+        if cap <= best or cap - matching(allowed) <= best:
+            continue
+        pick, deg = -1, -1
+        m = allowed
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            m ^= low
+            d = (dnb[i] & allowed).bit_count()
+            if d > deg:
+                pick, deg = i, d
+        pb = 1 << pick
+        stack.append((allowed & ~orbits[pick] if root else allowed ^ pb,
+                      common, size, sel, root))
+        stack.append((allowed & ~(dnb[pick] | pb), common & sets[pick], size + 1,
+                      sel | pb, False))
     witness = None
     if best_sel is not None:
         witness = tuple(sorted(sets[i] for i in iter_bits(best_sel)))

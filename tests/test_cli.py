@@ -109,6 +109,19 @@ def test_count_methods_and_restrictions(capsys):
     code, payload = run_json(capsys, "count", "--graph", "cycle:6", "--r", "2",
                              "--forbid", "0,1")
     assert code == 0 and payload["count"] == 3  # pairs within {2,3,4,5} minus edges
+    # --forbid forces enumeration under auto: only {0,3} contains 0 and avoids 2
+    for method in ("auto", "enumeration"):
+        code, payload = run_json(capsys, "count", "--graph", "path:4", "--r", "2",
+                                 "--anchor", "0", "--forbid", "2", "--method", method)
+        assert code == 0 and payload["count"] == 1 and payload["method"] == "enumeration"
+    for method in ("auto", "enumeration", "tree-dp"):  # r above n: no sets
+        code, payload = run_json(capsys, "count", "--graph", "path:4", "--r", "7",
+                                 "--method", method)
+        assert code == 0 and payload["count"] == 0
+    for anchor in ([], ["--anchor", "0"]):
+        code, out, err = run_main(capsys, "count", "--graph", "path:4", "--r", "2",
+                                  *anchor, "--forbid", "2", "--method", "tree-dp")
+        assert code == 1 and out == "" and err.startswith("error:"), err
     code, out, err = run_main(capsys, "count", "--graph", "path:5", "--r", "2",
                               "--method", "closed-form", "--anchor", "0")
     assert code == 1
@@ -344,6 +357,13 @@ def test_file_errors_are_input_errors(capsys, tmp_path, argv):
     ["search-ekr", "--catalog", "catalog.txt", "--n-min", "3"],
     ["peel", "--graph", "star:9", "--threshold", "6", "--c", "1"],  # --c needs --r
     ["peel", "--graph", "star:9", "--threshold", "6", "--r", "2"],
+    *(["count", "--graph", "path:4", "--r", "-1", "--method", m]
+      for m in ("auto", "enumeration", "tree-dp")),
+    ["count", "--graph", "path:4", "--r", "2", "--anchor", "9", "--method", "enumeration"],
+    ["count", "--graph", "path:4", "--r", "2", "--anchor", "-1", "--method", "enumeration"],
+    ["count", "--graph", "path:4", "--r", "2", "--forbid", "-1"],
+    ["count", "--graph", "path:4", "--r", "2", "--forbid", "9"],
+    ["count", "--graph", "path:4", "--r", "2", "--anchor", "1", "--forbid", "1"],
 ])
 def test_argument_errors_are_input_errors(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "catalog.txt").write_text("kpartite:3,3\n", encoding="ascii")

@@ -194,6 +194,7 @@ def test_star_vectors_on_forests_property(n, data):
     want = [indep_size_counts(g, anchor=v, max_size=cap) for v in range(n)]
     assert star_vectors_tree_dp(g, cap) == want
     assert [star_vector_tree_dp(g, v, cap) for v in range(n)] == want
+    assert indep_size_counts_tree_dp(g, cap) == indep_size_counts(g, max_size=cap)
 
 def test_star_size_methods_agree_and_tag():
     g = generate("spider:2,2,2")

@@ -1,4 +1,5 @@
 import random
+import sys
 from math import comb
 
 import pytest
@@ -156,6 +157,17 @@ def test_budget_exhaustion_and_env_default(monkeypatch):
     assert V.default_budget().max_nodes == V.DEFAULT_MAX_NODES
     with pytest.raises(ValueError):
         V.SearchBudget(0)
+
+
+def test_search_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        rep = V.nonuniform_ekr(generate("empty:7"))
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+    assert rep.verdict == V.EKR and rep.max_intersecting_size == 2 ** 6
 
 
 def test_input_validation():
