@@ -118,16 +118,16 @@ def _run_count(args, stream) -> int:
         if g.n > 1 and not (g.is_tree() and g.max_degree() <= 2):
             raise CliError("closed form applies to paths only")
         res = fam.count_path_rsets(g.n, r)
-    elif args.method == fam.TREE_DP:
+    elif args.method == fam.TREE_DP or (args.method == "auto" and anchor is not None
+                                        and not forbid and g.is_forest()):
         if forbid:
             raise CliError("tree DP does not take --forbid; use enumeration")
         if anchor is not None:
-            res = fam.star_size(g, anchor, r, method=fam.TREE_DP)
+            count = fam.star_vector_tree_dp(g, anchor, r)[r]
         else:
-            res = fam.CountResult(fam.indep_size_counts_tree_dp(g, r)[r], fam.TREE_DP)
-    elif args.method == "auto" and anchor is not None and not forbid:
-        res = fam.star_size(g, anchor, r)
-    else:  # enumeration; auto without --anchor or with --forbid
+            count = fam.indep_size_counts_tree_dp(g, r)[r]
+        res = fam.CountResult(count, fam.TREE_DP)
+    else:  # enumeration; auto without --anchor, with --forbid or off forests
         counts = fam.indep_size_counts(g, anchor, forbid, max_size=r)
         res = fam.CountResult(counts[r], fam.ENUMERATION)
     payload = {"graph": g.label or args.graph, "n": g.n, "r": r,
@@ -146,11 +146,13 @@ def _run_star(args, stream) -> int:
         payload = {"graph": g.label or args.graph, "n": g.n, "r": args.r,
                    "vertex": args.vertex, "size": res.count, "method": res.method}
     else:
-        sizes = [fam.star_size(g, v, args.r).count for v in range(g.n)]
-        top = max(sizes) if sizes else 0
+        if g.is_forest():  # one rerooting pass instead of a DP per vertex
+            sizes = [vec[args.r] for vec in fam.star_vectors_tree_dp(g, args.r)]
+        else:
+            sizes = [fam.star_size(g, v, args.r).count for v in range(g.n)]
+        top = max(sizes)
         payload = {"graph": g.label or args.graph, "n": g.n, "r": args.r,
-                   "star_sizes": sizes, "max_size": top,
-                   "max_vertex": sizes.index(top) if sizes else None}
+                   "star_sizes": sizes, "max_size": top, "max_vertex": sizes.index(top)}
     _emit(stream, payload, args.fmt)
     return EXIT_OK
 

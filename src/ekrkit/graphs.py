@@ -571,21 +571,28 @@ def _is_automorphism(adj: tuple, perm: list[int]) -> bool:
     return all(image(adj[v]) == adj[perm[v]] for v in range(len(perm)))
 
 
-def automorphism_generators(g: Graph) -> list[tuple]:
-    """Generators of the automorphism group of g.
+def automorphism_generators(g: Graph, setwise: int = 0) -> list[tuple]:
+    """Generators of the automorphism group of g, or with a nonzero vertex
+    mask `setwise`, of its setwise stabiliser: the automorphisms that map
+    that vertex set onto itself.
 
-    Each generator is a tuple perm with v -> perm[v].  The search refines to
-    an equitable partition, follows one first path of individualisations
-    down to a discrete leaf, and then, from the deepest level up, tries every
+    Each generator is a tuple perm with v -> perm[v].  The search refines the
+    partition [setwise, rest], leaving out an empty cell, to an equitable
+    partition, follows one first path of individualisations down to a
+    discrete leaf, and then, from the deepest level up, tries every
     vertex of that level's target cell that is not yet in the orbit of the
     first path's choice, keeping a leaf that maps onto the first leaf.  When
     every level is done, the generators span the whole group.  After
     AUTOMORPHISM_NODE_LIMIT refinements the search stops early and returns
     what it has found: a valid generating set of a subgroup.  Every
-    permutation returned has been checked against the adjacency rows.
+    permutation returned has been checked against the adjacency rows and
+    against `setwise`.
     """
     n, adj = g.n, g.adj
-    path = [_refine(adj, [g.vertex_mask], [g.vertex_mask])]
+    if not isinstance(setwise, int) or setwise < 0 or setwise >> n:
+        raise GraphError(f"setwise mask {setwise!r} is not a vertex set of a graph with n={n}")
+    start = [c for c in (setwise, g.vertex_mask ^ setwise) if c]
+    path = [_refine(adj, start, start)]
     targets = []  # (cell index, first-path choice) per level
     while len(path[-1]) < n:
         p = path[-1]
@@ -612,7 +619,8 @@ def automorphism_generators(g: Graph) -> list[tuple]:
             perm = [0] * n
             for u, c in zip(first, p):
                 perm[u] = c.bit_length() - 1
-            return perm if _is_automorphism(adj, perm) else None
+            fixed = all(setwise >> perm[u] & 1 for u in iter_bits(setwise))
+            return perm if fixed and _is_automorphism(adj, perm) else None
         for w in iter_bits(p[targets[depth][0]]):
             q = child(p, depth, w)
             if q is not None:

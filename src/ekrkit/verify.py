@@ -7,22 +7,27 @@ x, so the overall maximum is max(best star, best empty-common-intersection
 family); the branch and bound therefore only ever hunts for families with
 empty total intersection, seeded against the best star.
 
-The root of that search uses orbital branching (Ostrowski, Linderoth, Rossi,
-Smriglio, "Orbital branching", Math. Program. 126, 2011).  An automorphism
-of the graph maps independent r-sets to independent r-sets and keeps
-pairwise intersection, an empty total intersection and the family size, so
-the root subproblem is invariant under Aut(G).  Once the subtree of families
-containing the root's pick is searched, every family containing another set
-of the pick's orbit is the image of one already seen, so the root excludes
-the whole orbit instead of the pick alone.  What is left stays invariant, so
-each step of the root's exclude chain branches on orbits.  The orbits are
-computed once per search, from `graphs.automorphism_generators`, before the
-search starts.  The pick itself stays the representative, so the first root
-subtree, where the witness is usually found, is unchanged.  Below the root
-the search branches on single sets, because there the subproblem is
-invariant only under the stabiliser of the sets picked so far, which would
-have to be computed anew for every subtree.  `nodes_explored` counts the
-nodes of this symmetry-reduced search.
+The top two levels of that search use orbital branching (Ostrowski,
+Linderoth, Rossi, Smriglio, "Orbital branching", Math. Program. 126, 2011).
+An automorphism of the graph maps independent r-sets to independent r-sets
+and keeps pairwise intersection, an empty total intersection and the family
+size, so the root subproblem is invariant under Aut(G).  Once the subtree of
+families containing the root's pick is searched, every family containing
+another set of the pick's orbit is the image of one already seen, so the
+root excludes the whole orbit instead of the pick alone.  What is left stays
+invariant, so each step of the root's exclude chain branches on orbits.
+The include child of a root pick S (the families containing S, minus the
+orbits already excluded) is invariant under Stab(S), the automorphisms that
+map S onto itself, so that child's own exclude chain drops Stab(S)-orbits in
+the same way.  Aut(G) comes from `graphs.automorphism_generators` once per
+search; Stab(S) comes from the same routine with `setwise=S`, and only when
+the child reaches its first branching step, so a child that is pruned first
+costs no stabiliser.  Each pick itself stays the representative,
+so the first subtree, where the witness is usually found, is unchanged.
+Deeper nodes branch on single sets: their subproblems are invariant only
+under the stabiliser of all the sets picked so far, which would have to be
+computed anew for every subtree.  `nodes_explored` counts the nodes of this
+symmetry-reduced search.
 """
 from __future__ import annotations
 
@@ -41,10 +46,6 @@ EKR = "ekr"
 NOT_EKR = "not_ekr"
 STRICTLY_EKR = "strictly_ekr"
 BUDGET_EXCEEDED = "budget_exceeded"
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,8 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
     and size > floor.
 
     The root branches on orbits of candidates under Aut(g), which must map
-    the candidate family onto itself.  Returns (best_size,
+    the candidate family onto itself, and the include child of each root
+    pick on orbits under the pick's setwise stabiliser.  Returns (best_size,
     best_index_mask_or_None, nodes, exceeded).  Smaller families are pruned,
     so a None witness proves nothing above the floor exists (when not
     exceeded).
@@ -182,65 +184,73 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
     best_sel = None
     nodes = 0
     exceeded = False
-    orbits = _orbit_masks(sets, automorphism_generators(g))
-
-    def matching(allowed: int) -> int:
-        m = 0
-        avail = allowed
-        while avail:
-            low = avail & -avail
-            i = low.bit_length() - 1
-            avail ^= low
-            nb = dnb[i] & avail
-            if nb:
-                avail ^= nb & -nb
-                m += 1
-        return m
+    gens = automorphism_generators(g)
+    # orbit masks of each exclude chain that branches on orbits, by chain:
+    # -1 is the root's, i >= 0 the one below root pick i, filled in when
+    # that chain first branches
+    orbits = {-1: _orbit_masks(sets, gens)} if gens else {}
 
     # depth first: each node pushes its exclude continuation (the state after
-    # absorbing, minus the pick, or at the root minus the pick's whole orbit)
-    # and then its include child, which is popped next
-    stack = [(full, -1, 0, 0, True)]
+    # absorbing, minus the pick, or on an orbital chain minus the pick's whole
+    # orbit) and then its include child, which is popped next; `chain` names
+    # the orbital chain a node is on, None where it branches on single sets
+    stack = [(full, -1, 0, 0, -1 if gens else None)]
     while stack:
-        allowed, common, size, sel, root = stack.pop()
+        allowed, common, size, sel, chain = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             exceeded = True
             break
-        # absorb candidates intersecting everything still allowed
+        # one pass in index order: absorb the candidates that meet everything
+        # still allowed, take the greedy matching of the rest of the
+        # disjointness graph and the pick of most disjoint partners.  An
+        # absorbed candidate is nobody's disjoint partner, so removing it
+        # changes no other count and it is never matched.
+        absorbed = matched = 0
+        free = allowed
+        pick, deg = -1, 0
         m = allowed
         while m:
             low = m & -m
             i = low.bit_length() - 1
             m ^= low
-            if not dnb[i] & allowed:
-                allowed ^= low
-                sel |= low
-                size += 1
+            nb = dnb[i] & allowed
+            if not nb:
+                absorbed |= low
                 common &= sets[i]
+                continue
+            d = nb.bit_count()
+            if d > deg:
+                pick, deg = i, d
+            if free & low:
+                free ^= low
+                nb &= free
+                if nb:
+                    free ^= nb & -nb
+                    matched += 1
+        if absorbed:
+            allowed ^= absorbed
+            sel |= absorbed
+            size += absorbed.bit_count()
         if size and common and any(not allowed & ~contains[x] for x in iter_bits(common)):
             continue  # a core vertex x can no longer be evicted
         if not allowed:
             if size > best and (common == 0 or size == 0):
                 best, best_sel = size, sel
             continue
-        cap = size + allowed.bit_count()
-        if cap <= best or cap - matching(allowed) <= best:
+        if size + allowed.bit_count() - matched <= best:
             continue
-        pick, deg = -1, -1
-        m = allowed
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            d = (dnb[i] & allowed).bit_count()
-            if d > deg:
-                pick, deg = i, d
         pb = 1 << pick
-        stack.append((allowed & ~orbits[pick] if root else allowed ^ pb,
-                      common, size, sel, root))
+        if chain is None:
+            drop = pb
+        else:
+            if chain not in orbits:  # the stabiliser of root pick `chain`
+                stab = automorphism_generators(g, setwise=sets[chain])
+                orbits[chain] = _orbit_masks(sets, stab) if stab else None
+            drop = orbits[chain][pick] if orbits[chain] else pb
+        stack.append((allowed & ~drop, common, size, sel, chain))
         stack.append((allowed & ~(dnb[pick] | pb), common & sets[pick], size + 1,
-                      sel | pb, False))
+                      sel | pb, pick if chain == -1 else None))
     witness = None
     if best_sel is not None:
         witness = tuple(sorted(sets[i] for i in iter_bits(best_sel)))

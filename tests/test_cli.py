@@ -115,9 +115,10 @@ def test_count_methods_and_restrictions(capsys):
                                  "--anchor", "0", "--forbid", "2", "--method", method)
         assert code == 0 and payload["count"] == 1 and payload["method"] == "enumeration"
     for method in ("auto", "enumeration", "tree-dp"):  # r above n: no sets
-        code, payload = run_json(capsys, "count", "--graph", "path:4", "--r", "7",
-                                 "--method", method)
-        assert code == 0 and payload["count"] == 0
+        for anchor in ([], ["--anchor", "1"]):
+            code, payload = run_json(capsys, "count", "--graph", "path:4", "--r", "7",
+                                     *anchor, "--method", method)
+            assert code == 0 and payload["count"] == 0
     for anchor in ([], ["--anchor", "0"]):
         code, out, err = run_main(capsys, "count", "--graph", "path:4", "--r", "2",
                                   *anchor, "--forbid", "2", "--method", "tree-dp")
@@ -388,7 +389,7 @@ GOLDENS = [
     ("ekr --graph kpartite:3,3 --r 2", 0,
      "ee0c10ad78d5085fd1cb964e993cee9f62c0278ce4e5efe764b9cc7e11a3f7b9"),
     ("strict-ekr --graph empty:7 --r 3", 0,
-     "984b9bfe94371699c983ece1a634a168f9f38551a8404c98d70da9dca1cfc69a"),
+     "7e05ce05cb2e8e274a35434978a6ac76ac18f80d03aded249f834290fb3ad0b6"),
     ("nonuniform-ekr --graph empty:5", 0,
      "d86bf1752edb9fbba32a02b758b3c8fcc80fbb90a91d0cbb5d9753790c6a4b68"),
     ("hk --graph path:6 --r 2", 0,

@@ -395,6 +395,31 @@ def test_automorphisms_match_brute_force_on_all_small_graphs():
             assert H.perm_closure(gens, n) == H.brute_automorphisms(n, edges)
 
 
+def test_setwise_stabilisers_match_brute_force_on_all_small_graphs():
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        full = (1 << n) - 1
+        masks = sorted({m & full for m in (1, 3, 5, 6, 13, 22, 27, full)} - {0})
+        for pick in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if pick >> i & 1]
+            g = Graph(n, edges)
+            group = H.brute_automorphisms(n, edges)
+            for s in masks:
+                gens = automorphism_generators(g, setwise=s)
+                fixing = {p for p in group if mask_of(p[v] for v in iter_bits(s)) == s}
+                assert H.perm_closure(gens, n) == fixing, (n, edges, s)
+
+
+def test_setwise_mask_must_be_a_vertex_set():
+    g = generate("path:4")
+    for bad in (-1, 1 << 4, 0b10101, "1"):
+        with pytest.raises(GraphError):
+            automorphism_generators(g, setwise=bad)
+    assert automorphism_generators(g, setwise=0) == automorphism_generators(g)
+    assert len(H.perm_closure(automorphism_generators(g, setwise=0b1111), 4)) == 2
+    assert automorphism_generators(g, setwise=0b0001) == []
+
+
 @pytest.mark.parametrize("spec,order", [
     ("empty:1", 1), ("empty:4", 24), ("empty:6", 720), ("empty:7", 5040),
     ("cycle:5", 10), ("cycle:8", 16), ("cycle:12", 24),

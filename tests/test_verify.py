@@ -256,14 +256,14 @@ def test_spider_order_check():
         V.spider_order_check(SpiderSpec((2, 2, 2)), 9)
 
 
-# -- root orbital branching -------------------------------------------------
+# -- orbital branching ------------------------------------------------------
 
 SEARCHES = (V.is_r_ekr, V.is_strictly_r_ekr, V.max_nonstar_intersecting)
 
 
 def _plain(monkeypatch):
     """Make every search branch without symmetry."""
-    monkeypatch.setattr(V, "automorphism_generators", lambda g: [])
+    monkeypatch.setattr(V, "automorphism_generators", lambda g, setwise=0: [])
 
 
 def _check_witness(g, rep, search):
@@ -295,12 +295,20 @@ def test_orbital_search_matches_plain_search(n, data):
         _check_witness(g, a, fn)
 
 
-@pytest.mark.parametrize("n", [7, 8, 9])
-def test_orbital_search_explores_fewer_nodes_on_edgeless_graphs(n, monkeypatch):
-    g = generate(f"empty:{n}")
-    orbital = [fn(g, 3) for fn in SEARCHES]
+def _assert_fewer_nodes_same_json(g, r, monkeypatch):
+    orbital = [fn(g, r) for fn in SEARCHES]
     _plain(monkeypatch)
-    plain = [fn(g, 3) for fn in SEARCHES]
+    plain = [fn(g, r) for fn in SEARCHES]
     for a, b in zip(orbital, plain):
         assert a.to_json_dict() | {"nodes_explored": 0} == b.to_json_dict() | {"nodes_explored": 0}
         assert a.nodes_explored < b.nodes_explored
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_orbital_search_explores_fewer_nodes_on_edgeless_graphs(n, monkeypatch):
+    _assert_fewer_nodes_same_json(generate(f"empty:{n}"), 3, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", ["spider:4,4,4", "spider:3,3,3,3"])
+def test_orbital_search_explores_fewer_nodes_on_spiders(spec, monkeypatch):
+    _assert_fewer_nodes_same_json(generate(spec), 4, monkeypatch)
