@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -543,3 +544,23 @@ def write_grid_csv(suite: str, stream) -> None:
     stream.write(_CSV_HEADER)
     for row in rows:
         stream.write(_csv_line(row))
+
+
+_JSON_ROW = ('    {{\n      "holds": {},\n      "lhs": {},\n      "parameters": {},\n'
+             '      "rhs": {},\n      "theorem_id": {}\n    }}')
+
+
+def write_grid_json(suite: str, stream) -> None:
+    """Write json.dumps({"suite", "rows", "all_hold"}, indent=2, sort_keys=True)
+    and a newline to stream without holding the rows: one pass over the suite
+    finds all_hold, which sorts first, and a second pass writes each row."""
+    dumps = json.dumps
+    all_hold = all(row.holds for row in _suite_rows(suite))
+    stream.write(f'{{\n  "all_hold": {dumps(all_hold)},\n  "rows": [')
+    sep = "\n"
+    for row in _suite_rows(suite):
+        stream.write(sep + _JSON_ROW.format("true" if row.holds else "false", dumps(row.lhs),
+                                            dumps(row.parameters), dumps(row.rhs),
+                                            dumps(row.theorem_id)))
+        sep = ",\n"
+    stream.write(f'\n  ],\n  "suite": {dumps(suite)}\n}}\n')

@@ -7,10 +7,10 @@ cross-check each other.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .bounds import binom
 from .graphs import Graph, GraphError, SpiderSpec, bit_list, iter_bits
 
 ENUMERATION = "enumeration"
@@ -137,16 +137,11 @@ def indep_size_counts(g: Graph, anchor: Optional[int] = None, forbidden: int = 0
     return counts
 
 
-def count_independent_rsets(q: FamilyQuery) -> CountResult:
-    counts = indep_size_counts(q.graph, q.anchor, q.forbidden, max_size=q.r)
-    return CountResult(counts[q.r], ENUMERATION)
-
-
 def count_path_rsets(m: int, r: int) -> CountResult:
     """Independent r-sets of the path on m vertices: C(m - r + 1, r)."""
     if m < 0 or r < 0:
         raise GraphError(f"need m, r >= 0; got m={m}, r={r}")
-    return CountResult(binom(m - r + 1, r), CLOSED_FORM)
+    return CountResult(math.comb(max(m - r + 1, 0), r), CLOSED_FORM)
 
 
 # -- rooted tree DP ----------------------------------------------------
@@ -284,10 +279,37 @@ def star_vectors_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[list[
     return [_fit(_conv(others[v], whole_inc[v], cap), cap) for v in range(n)]
 
 
-def star_size_tree_dp(g: Graph, v: int, r: int) -> CountResult:
-    if not 0 <= r <= g.n:
-        raise GraphError(f"r={r} out of range")
-    return CountResult(star_vector_tree_dp(g, v, max_size=r)[r], TREE_DP)
+def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int = 0,
+                method: str = "auto") -> CountResult:
+    """Exact count of the independent r-sets of g that contain `anchor` (if
+    given) and avoid the vertex mask `forbidden`.
+
+    method "auto" runs the tree DP on an anchored forest with nothing
+    forbidden and enumeration otherwise; "tree-dp" needs a forest and takes
+    no forbidden vertices; "closed-form" counts the sets of a path (n <= 1
+    included) with no anchor and nothing forbidden.  An r above n counts 0
+    under every method; r < 0, an anchor outside g or inside `forbidden`, and
+    a forbidden vertex outside g raise GraphError.
+    """
+    FamilyQuery(g, min(r, g.n), anchor, forbidden)  # validates all but r > n
+    if method == "auto":
+        tree = anchor is not None and not forbidden and g.is_forest()
+        method = TREE_DP if tree else ENUMERATION
+    if method == ENUMERATION:
+        return CountResult(indep_size_counts(g, anchor, forbidden, max_size=r)[r], ENUMERATION)
+    if method == TREE_DP:
+        if forbidden:
+            raise GraphError("tree DP takes no forbidden vertices; use enumeration")
+        if anchor is None:
+            return CountResult(indep_size_counts_tree_dp(g, r)[r], TREE_DP)
+        return CountResult(star_vector_tree_dp(g, anchor, r)[r], TREE_DP)
+    if method == CLOSED_FORM:
+        if anchor is not None or forbidden:
+            raise GraphError("closed form has no anchored/restricted variant")
+        if g.n > 1 and not (g.is_tree() and g.max_degree() <= 2):
+            raise GraphError("closed form applies to paths only")
+        return count_path_rsets(g.n, r)
+    raise GraphError(f"unknown counting method {method!r}")
 
 
 def star_size(g: Graph, v: int, r: int, method: str = "auto") -> CountResult:
@@ -296,13 +318,7 @@ def star_size(g: Graph, v: int, r: int, method: str = "auto") -> CountResult:
         raise GraphError(f"vertex {v} out of range")
     if not 0 <= r <= g.n:
         raise GraphError(f"r={r} out of range")
-    if method == "auto":
-        method = TREE_DP if g.is_forest() else ENUMERATION
-    if method == TREE_DP:
-        return star_size_tree_dp(g, v, r)
-    if method == ENUMERATION:
-        return CountResult(indep_size_counts(g, anchor=v, max_size=r)[r], ENUMERATION)
-    raise GraphError(f"unknown star_size method {method!r}")
+    return count_rsets(g, r, anchor=v, method=method)
 
 
 # -- path-merge surgeries ----------------------------------------------
@@ -326,12 +342,6 @@ class PathMerge:
     source: Graph
     removed: int
     marked_position: int = -1
-
-    def position_of(self, source_vertex: int) -> int:
-        return self.order.index(source_vertex)
-
-    def junction_mask_pairs(self) -> list[tuple[int, int]]:
-        return [(1 << a, 1 << b) for a, b in self.junctions]
 
     def independent_in_pieces(self, mask: int) -> bool:
         """Independence in source-minus-removed, i.e. ignoring junction edges."""

@@ -180,9 +180,6 @@ class Graph:
                     edges.append((new_u, pos[old_v]))
         return Graph(len(old_ids), edges, label=label), old_ids
 
-    def relabel(self, label: str) -> "Graph":
-        return Graph(self.n, self.edges(), label=label)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

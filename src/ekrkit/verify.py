@@ -35,7 +35,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .families import FamilyQuery, enum_independent_rsets, star_vectors_tree_dp
+from .families import (FamilyQuery, all_independent_sets, enum_independent_rsets,
+                       star_vectors_tree_dp)
 from .graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, bit_list,
                      find_root, iter_bits)
 
@@ -257,7 +258,13 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
     return best, witness, nodes, exceeded
 
 
-def _candidates(g: Graph, r: int) -> list[int]:
+def _candidates(g: Graph, r: Optional[int]) -> list[int]:
+    """The independent r-sets of g; every nonempty independent set if r is None."""
+    if r is None:
+        cands = all_independent_sets(g)
+        if not cands:
+            raise GraphError("graph has no nonempty independent sets")
+        return cands
     if not isinstance(r, int) or r < 1:
         raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
     cands = list(enum_independent_rsets(FamilyQuery(graph=g, r=r)))
@@ -279,33 +286,40 @@ def _star_family(cands: list[int], v: int) -> tuple:
     return tuple(s for s in cands if s >> v & 1)
 
 
-def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: int,
+def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: Optional[int],
             budget: Optional[SearchBudget]) -> EkrReport:
+    """The one report builder: a search for an empty-common family above a floor.
+
+    floor_offset 0 or 1 puts the floor at (best star - offset), so a family
+    that ties the star counts only for the strict question; the answer is the
+    larger of that family and the best star, which certifies it when nothing
+    is found.  floor_offset None puts the floor at 0: the nonstar maximum,
+    whose answer is the family found alone (empty when there is none).  The
+    search returns its floor when it finds nothing, so the verdict follows
+    from `found` against the best star either way.
+    """
     budget = budget or default_budget()
     sv, ss = _star_tally(g, cands)
-    found, witness, nodes, exceeded = _search_empty_common(
-        cands, budget.max_nodes, ss - floor_offset, g)
+    floor = 0 if floor_offset is None else ss - floor_offset
+    found, witness, nodes, exceeded = _search_empty_common(cands, budget.max_nodes, floor, g)
     if exceeded:
-        size = max(ss, found if witness is not None else ss)
-        wit = witness if witness is not None else _star_family(cands, sv)
-        return EkrReport(r, BUDGET_EXCEEDED, sv, ss, size, wit, nodes)
-    if witness is None:
-        verdict = STRICTLY_EKR if floor_offset else EKR
-        return EkrReport(r, verdict, sv, ss, ss, _star_family(cands, sv), nodes)
-    if found > ss:
-        return EkrReport(r, NOT_EKR, sv, ss, found, witness, nodes)
-    # found == ss, only reachable when the floor allowed equality
-    return EkrReport(r, EKR, sv, ss, ss, witness, nodes)
+        verdict = BUDGET_EXCEEDED
+    elif found > ss:
+        verdict = NOT_EKR
+    elif found == ss:
+        verdict = EKR
+    else:
+        verdict = STRICTLY_EKR
+    if floor_offset is not None:  # the best star is a family too
+        found = max(found, ss)
+        witness = witness or _star_family(cands, sv)
+    return EkrReport(r, verdict, sv, ss, found, witness or (), nodes)
 
 
 def is_r_ekr(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
-    """Verdict ekr iff some star attains the maximum intersecting size."""
+    """Exact maximum intersecting family of independent r-sets, with witness;
+    verdict ekr iff some star attains it."""
     return _report(g, r, _candidates(g, r), 0, budget)
-
-
-def max_intersecting_family(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
-    """Exact maximum intersecting family of independent r-sets, with witness."""
-    return is_r_ekr(g, r, budget)
 
 
 def is_strictly_r_ekr(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
@@ -319,33 +333,12 @@ def is_strictly_r_ekr(g: Graph, r: int, budget: Optional[SearchBudget] = None) -
 
 def max_nonstar_intersecting(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
     """Exact maximum over intersecting families with empty total intersection."""
-    budget = budget or default_budget()
-    cands = _candidates(g, r)
-    sv, ss = _star_tally(g, cands)
-    found, witness, nodes, exceeded = _search_empty_common(cands, budget.max_nodes, 0, g)
-    if exceeded:
-        wit = witness if witness is not None else ()
-        return EkrReport(r, BUDGET_EXCEEDED, sv, ss, found if witness is not None else 0,
-                         wit, nodes)
-    size = found if witness is not None else 0
-    wit = witness if witness is not None else ()
-    if size > ss:
-        verdict = NOT_EKR
-    elif size == ss:
-        verdict = EKR
-    else:
-        verdict = STRICTLY_EKR
-    return EkrReport(r, verdict, sv, ss, size, wit, nodes)
+    return _report(g, r, _candidates(g, r), None, budget)
 
 
 def nonuniform_ekr(g: Graph, budget: Optional[SearchBudget] = None) -> EkrReport:
     """EKR verdict over ALL nonempty independent sets, any sizes mixed."""
-    from .families import all_independent_sets
-
-    cands = all_independent_sets(g)
-    if not cands:
-        raise GraphError("graph has no nonempty independent sets")
-    return _report(g, None, cands, 0, budget)
+    return _report(g, None, _candidates(g, None), 0, budget)
 
 
 # -- star-placement verdicts ---------------------------------------------

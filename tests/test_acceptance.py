@@ -40,7 +40,7 @@ def test_a01_edgeless_maximum_families():
     bad = []
     for n in range(2, 10):
         for r in range(1, n // 2 + 1):
-            rep = V.max_intersecting_family(generate(f"empty:{n}"), r)
+            rep = V.is_r_ekr(generate(f"empty:{n}"), r)
             if rep.max_intersecting_size != comb(n - 1, r - 1):
                 bad.append(("size", n, r, rep.max_intersecting_size))
             if (n, r) == (2, 1):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import tracemalloc
 
@@ -196,6 +197,28 @@ def test_grid_csv_memory_stays_small(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, f"grid --suite binoms peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_grid_json_memory_stays_small(tmp_path):
+    # degree-product writes 1.6 MiB of JSON; holding its rows took about 15 MiB
+    tracemalloc.start()
+    try:
+        assert main(["grid", "--suite", "degree-product", "--format", "json",
+                     "--out", str(tmp_path / "d.json")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, f"grid --suite degree-product peaked at {peak / 2 ** 20:.1f} MiB"
+
+
+def test_grid_json_matches_json_dumps():
+    # the streamed writer keeps the bytes of json.dumps on the whole document
+    rows = bounds.run_grid("hm-identity")
+    doc = {"suite": "hm-identity", "rows": [r._asdict() for r in rows],
+           "all_hold": all(r.holds for r in rows)}
+    out = io.StringIO()
+    bounds.write_grid_json("hm-identity", out)
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -412,6 +435,38 @@ GOLDENS = [
      "c825595c5cdd289b45e2502b31bf69748b80664d98d97fb443f4be5de7c04277"),
     ("search-ekr --n-max 7 --r-max 3", 0,
      "2dc4462fb8890da8cd2d66daa36895a03b4363d058306a2af17e824a423c3bb0"),
+    # the counting policy under each --method, budget-exceeded verdicts and the
+    # streamed grid JSON
+    ("count --graph spider:2,2,2 --r 3 --method enumeration", 0,
+     "0d10fe30c0191d95f54bea4ca86e1a7014171c989aabc40b6d2ca7335fc74e4d"),
+    ("count --graph spider:2,2,2 --r 3 --method tree-dp", 0,
+     "620445328fc4f9e0ea757a2895f47276662423cde078858faf52f533b05e065c"),
+    ("count --graph path:10 --r 3 --method closed-form", 0,
+     "9b5219bf793b1dbfe654fee3546c22fc3d963f2e002a13ad1021f97fd4b2bb8d"),
+    ("count --graph spider:2,2,2 --r 2 --anchor 2", 0,
+     "51df714b9f35208682a799f365cc111cc65849b850b5b4765e7af907ec729a3b"),
+    ("count --graph spider:2,2,2 --r 2 --anchor 2 --method tree-dp", 0,
+     "51df714b9f35208682a799f365cc111cc65849b850b5b4765e7af907ec729a3b"),
+    ("count --graph spider:2,2,2 --r 2 --anchor 2 --method enumeration", 0,
+     "f3e79e52c6dff6d78ae961bab5a471b329737403c14c4032141525733d286f82"),
+    ("count --graph cycle:5 --r 2 --anchor 1", 0,
+     "64c77bcefd5e5ae25af25d3d141bf280a97f6b9c88a151f2cc875ff16d2fb40a"),
+    ("count --graph cycle:6 --r 2 --forbid 0,1", 0,
+     "fdc97b1674130b9db6171c1b8c532136150ec9262a10f799ab9a6785c4c2475d"),
+    ("count --graph path:4 --r 2 --anchor 0 --forbid 2", 0,
+     "123cc2906e105bb7752373dfc319e516e6b1de582ff9320ff9bbff83f2164918"),
+    ("count --graph path:4 --r 7 --anchor 1 --method tree-dp", 0,
+     "93c715ab148080de3df07afa4fdf2dace89063549ff87882d00044fef9cd897d"),
+    ("strict-ekr --graph kpartite:3,3 --r 2", 0,
+     "ee0c10ad78d5085fd1cb964e993cee9f62c0278ce4e5efe764b9cc7e11a3f7b9"),
+    ("ekr --graph empty:9 --r 4 --budget 1", 2,
+     "2ba5a398594fb973d21791a4290147f67753729781c8705d9a9d9f24a385f94f"),
+    ("nonuniform-ekr --graph empty:5 --budget 1", 0,
+     "d86bf1752edb9fbba32a02b758b3c8fcc80fbb90a91d0cbb5d9753790c6a4b68"),
+    ("nonuniform-ekr --graph path:6 --budget 1", 2,
+     "c5eeee3e1d2765f57e2ac580313bfb250500fc63542444bda2c8f47a7d654fb6"),
+    ("grid --suite estimates --format json", 0,
+     "ca92f7d6eed65d6b0d9bb34db505191e1d90e483f63feb463dd9c7286630850c"),
 ]
 
 

@@ -9,10 +9,11 @@ from ekrkit.families import (
     CLOSED_FORM,
     ENUMERATION,
     TREE_DP,
+    CountResult,
     FamilyQuery,
     all_independent_sets,
-    count_independent_rsets,
     count_path_rsets,
+    count_rsets,
     enum_independent_rsets,
     format_family,
     indep_size_counts,
@@ -22,7 +23,6 @@ from ekrkit.families import (
     parse_family,
     splitstar_witness,
     star_size,
-    star_size_tree_dp,
     star_vector_tree_dp,
     star_vectors_tree_dp,
 )
@@ -90,10 +90,23 @@ def test_indep_size_counts_vs_brute():
             assert counts[r] == len(H.brute_independent_rsets(n, edges, r)), (n, edges, r)
 
 
-def test_count_independent_rsets_method_tag():
+def test_count_rsets_method_tag():
     g = generate("cycle:5")
-    res = count_independent_rsets(FamilyQuery(graph=g, r=2))
+    res = count_rsets(g, 2, method=ENUMERATION)
     assert res.count == 5 and res.method == ENUMERATION
+    # auto: tree DP only for an anchored forest with nothing forbidden
+    s = generate("spider:2,2,2")
+    assert count_rsets(s, 2) == count_rsets(s, 2, method=ENUMERATION)
+    assert count_rsets(s, 2, anchor=2) == CountResult(5, TREE_DP)
+    assert count_rsets(s, 2, anchor=2, forbidden=1) == CountResult(4, ENUMERATION)
+    assert count_rsets(g, 2, anchor=1) == CountResult(2, ENUMERATION)
+    assert count_rsets(generate("path:4"), 7, anchor=1, method=TREE_DP) == CountResult(0, TREE_DP)
+    for kw in ({"forbidden": 1, "method": TREE_DP}, {"anchor": 0, "method": CLOSED_FORM},
+               {"method": "auto-ish"}):
+        with pytest.raises(GraphError):
+            count_rsets(s, 2, **kw)
+    with pytest.raises(GraphError):
+        count_rsets(g, 2, method=CLOSED_FORM)  # not a path
 
 
 # -- closed form for paths -------------------------------------------------

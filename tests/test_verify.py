@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekrkit.verify as V
-from ekrkit.families import FamilyQuery, enum_independent_rsets, star_size_tree_dp
+from ekrkit.families import TREE_DP, FamilyQuery, enum_independent_rsets, star_size
 from ekrkit.graphs import (Graph, GraphError, SpiderSpec, generate,
                            max_independent_set_size)
 from ekrkit.treegen import iter_partitions
@@ -43,7 +43,7 @@ def _engine_cases():
 @pytest.mark.parametrize("g,r", _engine_cases())
 def test_max_family_matches_brute_force(g, r):
     cands = list(enum_independent_rsets(FamilyQuery(g, r)))
-    rep = V.max_intersecting_family(g, r)
+    rep = V.is_r_ekr(g, r)
     best, _ = H.brute_max_intersecting(cands, empty_common_only=False)
     assert rep.max_intersecting_size == best
     ns = V.max_nonstar_intersecting(g, r)
@@ -60,7 +60,7 @@ def test_max_family_matches_brute_force(g, r):
 
 @pytest.mark.parametrize("g,r", _engine_cases())
 def test_witnesses_check_out(g, r):
-    rep = V.max_intersecting_family(g, r)
+    rep = V.is_r_ekr(g, r)
     assert len(rep.witness) == rep.max_intersecting_size
     assert V.is_intersecting(rep.witness)
     if rep.verdict == V.NOT_EKR:
@@ -159,6 +159,44 @@ def test_budget_exhaustion_and_env_default(monkeypatch):
         V.SearchBudget(0)
 
 
+def _report_dict(verdict, star, star_size, size, witness, nodes, r=3):
+    return {"r": r, "verdict": verdict, "max_star_vertex": star, "max_star_size": star_size,
+            "max_intersecting_size": size, "witness": witness, "nodes_explored": nodes}
+
+
+_STAR_0_OF_EMPTY_8 = [[0, a, b] for b in range(2, 8) for a in range(1, b)]
+
+
+@pytest.mark.parametrize("search,spec,r,budget,want", [
+    # out of budget before any witness: the best star (or nothing, for the
+    # nonstar maximum) stands in
+    (V.is_strictly_r_ekr, "empty:8", 3, 1,
+     _report_dict(V.BUDGET_EXCEEDED, 0, 21, 21, _STAR_0_OF_EMPTY_8, 2)),
+    (V.max_nonstar_intersecting, "empty:8", 3, 1,
+     _report_dict(V.BUDGET_EXCEEDED, 0, 21, 0, [], 2)),
+    (V.nonuniform_ekr, "path:6", None, 1,
+     _report_dict(V.BUDGET_EXCEEDED, 0, 8, 8,
+                  [[0], [0, 2], [0, 3], [0, 4], [0, 2, 4], [0, 5], [0, 2, 5], [0, 3, 5]],
+                  2, r=None)),
+    # out of budget after a witness was found
+    (V.is_strictly_r_ekr, "empty:6", 3, 11,
+     _report_dict(V.BUDGET_EXCEEDED, 0, 10, 10,
+                  [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 4], [0, 2, 4],
+                   [1, 2, 4], [0, 3, 4], [1, 3, 4], [2, 3, 4]], 12)),
+    (V.max_nonstar_intersecting, "empty:8", 3, 50,
+     _report_dict(V.BUDGET_EXCEEDED, 0, 21, 16,
+                  [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+                  + [[x, 3, y] for y in range(4, 8) for x in range(3)], 51)),
+    (V.nonuniform_ekr, "spider:2,2,2", None, 6,
+     _report_dict(V.BUDGET_EXCEEDED, 2, 13, 13,
+                  [[2], [0, 2], [2, 3], [2, 4], [0, 2, 4], [2, 5], [2, 3, 5], [2, 4, 5],
+                   [2, 6], [0, 2, 6], [2, 3, 6], [2, 4, 6], [0, 2, 4, 6]], 7, r=None)),
+])
+def test_budget_exceeded_reports_are_pinned(search, spec, r, budget, want):
+    args = (generate(spec),) if r is None else (generate(spec), r)
+    assert search(*args, budget=V.SearchBudget(budget)).to_json_dict() == want
+
+
 def test_search_leaves_the_recursion_limit_alone():
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -230,7 +268,7 @@ def test_star_verdicts_match_per_vertex_route_on_spiders():
             g = spec.realize()
             leaves = [v for v in range(n) if g.degree(v) <= 1]
             for r in range(1, max_independent_set_size(g) + 1):
-                sizes = tuple(star_size_tree_dp(g, v, r).count for v in range(n))
+                sizes = tuple(star_size(g, v, r, method=TREE_DP).count for v in range(n))
                 top = max(sizes)
                 holds = any(sizes[v] == top for v in leaves)
                 best = next((v for v in leaves if sizes[v] == top), sizes.index(top))
