@@ -534,10 +534,6 @@ def _csv_line(row: GridRow) -> str:
     return f"{row.theorem_id},{row.parameters},{row.lhs},{row.rhs},{holds}\n"
 
 
-def grid_to_csv(rows: list[GridRow]) -> str:
-    return _CSV_HEADER + "".join(map(_csv_line, rows))
-
-
 def write_grid_csv(suite: str, stream) -> None:
     """Write the suite's CSV to stream as its rows are made, holding neither rows nor text."""
     rows = _suite_rows(suite)

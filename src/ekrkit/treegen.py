@@ -1,12 +1,12 @@
 """Tree enumeration and exhaustive property sweeps.
 
-Labeled trees come from full Pruefer-sequence sweeps; isomorphism classes
-are deduplicated by an integer rooted-at-centre key (the Aho-Hopcroft-Ullman
-encoding).  The labeled sweep first keys each sequence by the AHU code of its
-tree rooted at vertex n-1, built during the decode itself, and decodes and
-centre-keys only the trees whose rooted shape is new.  Free trees are also
-generated directly by leaf extension, which is vastly cheaper for the larger
-sizes the counterexample hunts need.
+Labeled trees come from Pruefer-sequence sweeps; isomorphism classes are
+deduplicated by an integer rooted-at-centre key (the Aho-Hopcroft-Ullman
+encoding).  The labeled sweep decodes and keys sequences in order and stops a
+size once every free-tree class (OEIS A000055) has appeared; the remaining
+sequences can only repeat a class.  Free trees are also generated directly by
+leaf extension, which is vastly cheaper for the larger sizes the
+counterexample hunts need.
 `search_trees` (first labeled tree of each class) and `search_catalog` (an
 explicit list) feed one sweep loop, which checks the property at every
 admissible set size and builds the canonical certificate only for findings.
@@ -20,8 +20,9 @@ from typing import Callable, Iterable, Iterator, Optional
 from .graphs import Graph, GraphError, bit_list, emit_graph6, max_independent_set_size
 from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget, is_r_ekr, is_r_hk
 
-# number of free trees on n = 1..11 vertices
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235)
+# number of free trees on n = 1..20 vertices (OEIS A000055)
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
+                    19320, 48629, 123867, 317955, 823065)
 
 
 def prufer_decode(seq: tuple, n: int) -> list[tuple[int, int]]:
@@ -60,47 +61,8 @@ def prufer_decode(seq: tuple, n: int) -> list[tuple[int, int]]:
 
 def iter_labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
     """Every labeled tree on n vertices, one edge list per Pruefer sequence."""
-    if n <= 2:
-        yield prufer_decode((), n)
-        return
-    for seq in product(range(n), repeat=n - 2):
+    for seq in product(range(n), repeat=max(n - 2, 0)):
         yield prufer_decode(seq, n)
-
-
-def _prufer_rooted_code(seq: tuple, n: int, shapes: dict) -> int:
-    """AHU code of the tree with Pruefer sequence seq (n >= 3), rooted at n-1.
-
-    The decode of `prufer_decode`, without building edges: vertex n-1 is
-    never removed, so each vertex removed as a leaf already has all its
-    children and its remaining neighbour is its parent.  Its code is the int
-    that `shapes` maps the sorted tuple of its children's codes to (new
-    tuples get the next int), so trees coded against one `shapes` dict have
-    equal codes iff they are isomorphic as trees rooted at n-1.
-    """
-    deg = [1] * n
-    for x in seq:
-        deg[x] += 1
-    kids = [[] for _ in range(n)]
-    ptr = deg.index(1)
-    leaf = ptr
-    for x in seq:
-        k = kids[leaf]
-        k.sort()
-        kids[x].append(shapes.setdefault(tuple(k), len(shapes)))
-        deg[x] -= 1
-        if deg[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    k = kids[leaf]
-    k.sort()
-    root = kids[n - 1]
-    root.append(shapes.setdefault(tuple(k), len(shapes)))
-    root.sort()
-    return shapes.setdefault(tuple(root), len(shapes))
 
 
 def _class_key(n: int, edges, shapes: dict) -> tuple:
@@ -312,6 +274,8 @@ def _sweep(prop: str, graphs: Iterable[Graph], r_max: Optional[int],
     check = _CHECKS.get(prop)
     if check is None:
         raise GraphError(f"unknown sweep property {prop!r}")
+    if r_max is not None and r_max < 1:
+        raise GraphError(f"r_max must be at least 1, got {r_max}")
     seen = checks = blown = n_max = 0
     findings = []
     for g in graphs:
@@ -341,36 +305,30 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
 
     Pruefer sequences give all n^(n-2) labeled trees; isomorphism duplicates
     are skipped, so the first tree of each class is checked once for every
-    admissible set size r.  Each sequence is first coded as a tree rooted at
-    vertex n-1; rooted isomorphism implies free isomorphism, so only a tree
-    whose rooted code is new can open a class, and only such a tree is
-    decoded and given the integer class key.
+    admissible set size r.  Each sequence is decoded and given the integer
+    class key until all FREE_TREE_COUNTS[n-1] classes have appeared (for
+    n = 8 and 9 within the first 2% of them); the rest can only repeat a
+    class and are counted, not decoded.  Sizes past the table are scanned to
+    the end.  labeled_seen is the sum of n^(n-2) over the swept sizes.
     """
     if n_max < n_min:
         raise GraphError(f"n_max={n_max} below n_min={n_min}")
-    labeled = 0
 
     def first_of_each_class():
-        nonlocal labeled
         for n in range(n_min, n_max + 1):
-            if n <= 2:  # one tree, no sequence
-                labeled += 1
-                yield Graph(n, prufer_decode((), n), label=f"tree-{n}-0")
-                continue
-            rooted, seen, shapes = set(), set(), {}
-            for seq in product(range(n), repeat=n - 2):
-                labeled += 1
-                code = _prufer_rooted_code(seq, n, shapes)
-                if code in rooted:
-                    continue
-                rooted.add(code)
+            classes = FREE_TREE_COUNTS[n - 1] if n <= len(FREE_TREE_COUNTS) else None
+            seen, shapes = set(), {}
+            for seq in product(range(n), repeat=max(n - 2, 0)):
                 edges = prufer_decode(seq, n)
                 key = _class_key(n, edges, shapes)
                 if key not in seen:
                     seen.add(key)
                     yield Graph(n, edges, label=f"tree-{n}-{len(seen) - 1}")
+                    if len(seen) == classes:
+                        break
 
     summary = _sweep(prop, first_of_each_class(), r_max, budget, on_finding)
+    labeled = sum(n ** max(n - 2, 0) for n in range(n_min, n_max + 1))
     return replace(summary, n_max=n_max, labeled_seen=labeled)
 
 

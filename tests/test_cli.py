@@ -388,6 +388,9 @@ def test_file_errors_are_input_errors(capsys, tmp_path, argv):
     ["count", "--graph", "path:4", "--r", "2", "--forbid", "-1"],
     ["count", "--graph", "path:4", "--r", "2", "--forbid", "9"],
     ["count", "--graph", "path:4", "--r", "2", "--anchor", "1", "--forbid", "1"],
+    *([cmd, "--n-max", "3", "--r-max", r] for cmd in ("search-hk", "search-ekr")
+      for r in ("0", "-1")),
+    ["search-hk", "--n-max", "3", "--n-min", "0"],
 ])
 def test_argument_errors_are_input_errors(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "catalog.txt").write_text("kpartite:3,3\n", encoding="ascii")

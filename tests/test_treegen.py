@@ -1,7 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -93,7 +93,7 @@ def test_certificate_separates_shapes():
 
 
 def test_free_tree_counts():
-    for n in range(1, 12):
+    for n in range(1, 14):
         assert len(T.free_trees(n)) == T.FREE_TREE_COUNTS[n - 1], n
 
 
@@ -146,15 +146,6 @@ def test_class_key_invariant_under_relabeling_and_separates_free_trees():
                 assert T._class_key(n, relabeled, shapes) == key, (n, edges, perm)
             keys.add(key)
         assert len(keys) == T.FREE_TREE_COUNTS[n - 1], n
-
-
-def test_prufer_rooted_codes_count_rooted_trees():
-    # distinct codes over all sequences = rooted trees on n vertices (A000081)
-    for n, want in [(3, 2), (4, 4), (5, 9), (6, 20), (7, 48), (8, 115)]:
-        shapes = {}
-        codes = {T._prufer_rooted_code(seq, n, shapes)
-                 for seq in product(range(n), repeat=n - 2)}
-        assert len(codes) == want, n
 
 
 def test_free_trees_labels_edges_and_order_pinned():
@@ -250,9 +241,65 @@ def test_search_trees_ekr_matches_reference_catalog(reference_trees):
         reference, labeled_seen=summary.labeled_seen).to_json_dict()
 
 
+def test_search_trees_n9_representatives_pinned(monkeypatch):
+    # the first labeled tree of each of the 47 classes on 9 vertices, as the
+    # full scan of all 9^7 Pruefer sequences found them
+    h = hashlib.sha256()
+    count = 0
+
+    def alpha(g):
+        nonlocal count
+        count += 1
+        h.update(f"{g.label} {g.edges()}".encode())
+        return max_independent_set_size(g)
+
+    monkeypatch.setattr(T, "max_independent_set_size", alpha)
+    summary = T.search_trees(T.PROP_HK, 9, n_min=9, r_max=1)
+    assert count == summary.unique_graphs == 47
+    assert summary.labeled_seen == 9 ** 7
+    assert h.hexdigest() == (
+        "6696acca642ff748181953e4d905f3bce2a2c8eea04a44c1c449e2065410f28b")
+
+
+def test_search_trees_scans_to_the_end_without_every_class(monkeypatch):
+    # a class key that merges two classes never reaches the count, so the
+    # sweep decodes every sequence and reports one class fewer
+    real_key, real_decode = T._class_key, T.prufer_decode
+    path = generate("path:6").edges()
+
+    def merged_key(n, edges, shapes):
+        if n == 6 and Graph(n, edges).max_degree() == 5:  # the star joins the path
+            edges = path
+        return real_key(n, edges, shapes)
+
+    decodes = 0
+
+    def counting_decode(seq, n):
+        nonlocal decodes
+        decodes += 1
+        return real_decode(seq, n)
+
+    monkeypatch.setattr(T, "prufer_decode", counting_decode)
+    summary = T.search_trees(T.PROP_HK, 6, n_min=6, r_max=1)
+    assert summary.unique_graphs == T.FREE_TREE_COUNTS[5] == 6
+    assert decodes < 6 ** 4
+    decodes = 0
+    monkeypatch.setattr(T, "_class_key", merged_key)
+    summary = T.search_trees(T.PROP_HK, 6, n_min=6, r_max=1)
+    assert decodes == 6 ** 4 == summary.labeled_seen
+    assert summary.unique_graphs == 5
+
+
 def test_search_trees_validation():
     with pytest.raises(GraphError):
         T.search_trees(T.PROP_HK, 2, n_min=3)
+    with pytest.raises(GraphError):
+        T.search_trees(T.PROP_HK, 3, n_min=0)
+    for r_max in (0, -1):
+        with pytest.raises(GraphError, match="r_max"):
+            T.search_trees(T.PROP_HK, 3, r_max=r_max)
+        with pytest.raises(GraphError, match="r_max"):
+            T.search_catalog(T.PROP_EKR, [generate("path:3")], r_max=r_max)
     with pytest.raises(GraphError):
         T.search_trees("nope", 4)
     with pytest.raises(GraphError):
