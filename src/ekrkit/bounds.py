@@ -21,7 +21,9 @@ from .graphs import Graph, GraphError, iter_bits
 PRECISION_BITS = 120
 MARGIN = Fraction(1, 10 ** 9)
 
-THEOREM_IDS = ("T3", "T2-avg", "T5", "T6", "T8")
+# each theorem id and the query fields besides r that it reads
+THEOREM_READS = {"T3": ("n", "d"), "T2-avg": ("n", "c_density"), "T5": ("n",),
+                 "T6": ("n", "s"), "T8": ("n",)}
 
 
 @functools.cache
@@ -241,25 +243,32 @@ def _r_below_threshold(r: int, n: int, c: Fraction) -> tuple[bool, str]:
         return bool(mp.mpf(r) <= t - _mpf_of(MARGIN)), mp.nstr(t, 17)
 
 
-def _check_domain(theorem: str, q: BoundQuery) -> None:
+def _check_query(theorem: str, q: BoundQuery, with_r: bool) -> None:
+    """GraphError unless the theorem is known and q sets what it reads (r too
+    when with_r), inside its domain."""
+    needs = THEOREM_READS.get(theorem)
+    if needs is None:
+        raise GraphError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_READS)}")
+    if with_r:
+        needs += ("r",)
+    if any(getattr(q, name) is None for name in needs):
+        raise GraphError(f"{theorem} needs {', '.join(needs)}")
+    if with_r and q.r < 1:
+        raise GraphError(f"{theorem} needs r >= 1, got r={q.r}")
     # negative n has no real threshold; T3 with d < 1 admits every r
-    if theorem in ("T5", "T6") and q.n is not None and q.n < 0:
+    if theorem in ("T5", "T6") and q.n < 0:
         raise GraphError(f"{theorem} needs n >= 0, got n={q.n}")
-    if theorem == "T3" and q.d is not None and q.d < 1:
+    if theorem == "T3" and q.d < 1:
         raise GraphError(f"T3 needs d >= 1, got d={q.d}")
 
 
 def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
     """Whether the named threshold theorem applies at the query's parameters."""
-    _check_domain(theorem, q)
+    _check_query(theorem, q, with_r=True)
     if theorem == "T3":
-        if q.n is None or q.r is None or q.d is None:
-            raise GraphError("T3 needs n, r, d")
         ok = 8 * q.n > 27 * q.d * q.r * q.r
         return Applicability(theorem, ok, (("8n > 27*d*r^2", ok),))
     if theorem == "T2-avg":
-        if q.n is None or q.r is None or q.c_density is None:
-            raise GraphError("T2-avg needs n, r, c_density")
         c = q.c_density
         mp = _mpmath()
         with mp.workprec(PRECISION_BITS):
@@ -268,14 +277,10 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
         return Applicability(theorem, c_ok and n_ok,
                              (("c >= e/36", c_ok), ("n > 18*c*r^3", n_ok)))
     if theorem == "T5":
-        if q.n is None or q.r is None:
-            raise GraphError("T5 needs n, r")
         ok, t = _r_below_threshold(q.r, q.n, Fraction(2))
         return Applicability(theorem, ok,
                              (("r <= sqrt(n ln 2) - ln(2)/2", ok),), threshold_r=t)
     if theorem == "T6":
-        if q.n is None or q.r is None or q.s is None:
-            raise GraphError("T6 needs n, r, s")
         s_ok = 0 < 2 * q.s < q.r
         if not s_ok:
             return Applicability(theorem, False, (("0 < s < r/2", False),))
@@ -285,25 +290,13 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
                              (("0 < s < r/2", True),
                               ("r <= sqrt(n ln c) - ln(c)/2, c = 2 - 2s/r", ok)),
                              threshold_r=t)
-    if theorem == "T8":
-        if q.n is None or q.r is None:
-            raise GraphError("T8 needs n, r")
-        ok = 72 * q.r < q.n
-        return Applicability(theorem, ok, (("r < n/72", ok),))
-    raise GraphError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
-
-
-_RMAX_NEEDS = {"T3": ("n", "d"), "T2-avg": ("n", "c_density"), "T5": ("n",),
-               "T6": ("n", "s"), "T8": ("n",)}
+    ok = 72 * q.r < q.n  # T8
+    return Applicability(theorem, ok, (("r < n/72", ok),))
 
 
 def rmax(theorem: str, q: BoundQuery) -> list[int]:
     """All r >= 1 at which the named theorem applies for the other parameters."""
-    if theorem not in _RMAX_NEEDS:
-        raise GraphError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
-    if any(getattr(q, name) is None for name in _RMAX_NEEDS[theorem]):
-        raise GraphError(f"{theorem} needs {', '.join(_RMAX_NEEDS[theorem])}")
-    _check_domain(theorem, q)
+    _check_query(theorem, q, with_r=False)
     if theorem == "T8":
         return list(range(1, (q.n - 1) // 72 + 1))
     if theorem == "T3":  # 8n > 27 d r^2 iff r^2 <= (8n - 1) // (27d)

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -172,6 +173,14 @@ def _run_spider_order(args, stream) -> int:
 
 def _run_bounds(args, stream) -> int:
     theorem, formula, n, r = args.theorem, args.formula, args.n, args.r
+    if theorem:
+        reads = bnd.THEOREM_READS[theorem]
+    else:  # of the formulas only claim-star reads d
+        reads = ("d",) if formula == "claim-star" else ()
+    unread = [f"--{opt}" for opt, name in (("d", "d"), ("s", "s"), ("c", "c_density"))
+              if getattr(args, opt) is not None and name not in reads]
+    if unread:
+        raise CliError(f"{theorem or formula} does not read {', '.join(unread)}")
     if formula is not None:
         if n is None or r is None:
             raise CliError("--formula needs --n and --r")
@@ -187,16 +196,7 @@ def _run_bounds(args, stream) -> int:
                        "value": table[formula](n, r)}
         _emit(stream, payload, args.fmt)
         return EXIT_OK
-    kw = {"n": n}
-    for key in ("d", "s", "k"):
-        v = getattr(args, key)
-        if v is not None:
-            kw[key] = v
-    if args.c is not None:
-        kw["c_density"] = Fraction(args.c)
-    if r is not None:
-        kw["r"] = r
-    q = bnd.BoundQuery(**kw)
+    q = bnd.BoundQuery(n=n, r=r, d=args.d, s=args.s, c_density=args.c)
     admissible = bnd.rmax(theorem, q)
     payload = {"theorem": theorem, "n": n,
                "r_max": max(admissible) if admissible else 0,
@@ -206,13 +206,10 @@ def _run_bounds(args, stream) -> int:
         payload["hypothesis"] = {"r": r, "applicable": app.applicable,
                                  "conditions": [list(c) for c in app.conditions],
                                  "threshold_r": app.threshold_r}
-        if app.threshold_r is not None:
-            payload["threshold"] = app.threshold_r
     else:
-        probe = bnd.BoundQuery(**{**kw, "r": max(max(admissible, default=1), 1)})
-        app = bnd.hypothesis(theorem, probe)
-        if app.threshold_r is not None:
-            payload["threshold"] = app.threshold_r
+        app = bnd.hypothesis(theorem, replace(q, r=max(admissible, default=1)))
+    if app.threshold_r is not None:
+        payload["threshold"] = app.threshold_r
     _emit(stream, payload, args.fmt)
     return EXIT_OK
 
@@ -297,7 +294,8 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, help_, run_, graph=False, r=None, budget=False, fmt=("json", "text")):
-        """Subcommand `name` run by `run_`; r is None, "optional" or "required"."""
+        """Subcommand `name` run by `run_`; r is None, "optional" or "required";
+        fmt lists the --format choices, default first (none: no --format)."""
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(run=run_)
         if graph:
@@ -310,7 +308,8 @@ def _build_parser() -> _Parser:
                             help=f"search node budget (default ${vf.BUDGET_ENV} or "
                                  f"{vf.DEFAULT_MAX_NODES})")
         sp.add_argument("--out", default=None, help="write output to this file")
-        sp.add_argument("--format", dest="fmt", choices=fmt, default=fmt[0])
+        if fmt:
+            sp.add_argument("--format", dest="fmt", choices=fmt, default=fmt[0])
         return sp
 
     sp = add("count", "count independent r-sets", _run_count, graph=True, r="required")
@@ -336,15 +335,14 @@ def _build_parser() -> _Parser:
     sp = add("bounds", "closed-form bounds and theorem applicability", _run_bounds,
              r="optional")
     kind = sp.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--theorem", choices=bnd.THEOREM_IDS)
+    kind.add_argument("--theorem", choices=bnd.THEOREM_READS)
     kind.add_argument("--formula", choices=("ekr", "hm", "frankl", "claim-star"))
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--d", type=int, default=None, help="max degree parameter")
     sp.add_argument("--s", type=int, default=None, help="split-vertex count parameter")
-    sp.add_argument("--k", type=int, default=None, help="leg/distance parameter")
     sp.add_argument("--c", default=None, help="edge-density parameter (rational, e.g. 1/2)")
 
-    sp = add("grid", "inequality grid suites", _run_grid, fmt=("csv", "json", "text"))
+    sp = add("grid", "inequality grid suites", _run_grid, fmt=("csv", "json"))
     sp.add_argument("--suite", default="all", choices=bnd.GRID_SUITES + ("all",))
 
     sp = add("peel", "high-degree peeling with certificates", _run_peel, graph=True,
@@ -352,12 +350,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--threshold", type=int, required=True)
     sp.add_argument("--c", default=None, help="density used for the t-bound checks")
 
-    hk = add("search-hk", "leaf-star sweep over all labeled trees", _run_search,
-             fmt=("json",))
+    hk = add("search-hk", "leaf-star sweep over all labeled trees", _run_search, fmt=())
     hk.add_argument("--n-max", type=int, required=True)
     hk.set_defaults(catalog=None, budget=None)  # hk checks run no search
     ekr = add("search-ekr", "EKR sweep over all labeled trees or a catalog", _run_search,
-              budget=True, fmt=("json",))
+              budget=True, fmt=())
     source = ekr.add_mutually_exclusive_group(required=True)
     source.add_argument("--n-max", type=int)
     source.add_argument("--catalog", help="file of graphs (generator strings or graph6 lines)")

@@ -86,22 +86,20 @@ def enum_independent_rsets(q: FamilyQuery) -> Iterator[int]:
         yield rest | vbit
 
 
-def all_independent_sets(g: Graph, include_empty: bool = False) -> list[int]:
-    """All independent sets of every size, ascending as bitset integers."""
+def all_independent_sets(g: Graph) -> list[int]:
+    """All nonempty independent sets of every size, ascending as bitset integers."""
     adj = g.adj
     out = []
 
     def rec(m: int, acc: int):
-        out.append(acc)
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
+            out.append(acc | low)
             rec(m & ~adj[v], acc | low)
 
     rec(g.vertex_mask, 0)
-    if not include_empty:
-        out.remove(0)
     out.sort()
     return out
 
@@ -112,7 +110,9 @@ def indep_size_counts(g: Graph, anchor: Optional[int] = None, forbidden: int = 0
 
     Subset branching in ascending vertex order; every independent set is
     visited exactly once, so the cost is proportional to the total count.
+    anchor and forbidden follow FamilyQuery's rules.
     """
+    FamilyQuery(g, 0, anchor, forbidden)  # validates anchor and forbidden
     adj = g.adj
     cap = g.n if max_size is None else max_size
     allowed = g.vertex_mask & ~forbidden

@@ -8,7 +8,7 @@ down to single big-int operations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 MAX_VERTICES = 128
@@ -339,11 +339,10 @@ class SpiderSpec:
 
     Vertex layout of `realize()`: w = 0, then leg i (input order) occupies
     the next legs[i] vertices from u_i (adjacent to w) outward to the leaf
-    v_i.  `order` is the canonical-order permutation over legs.
+    v_i.
     """
 
     legs: tuple[int, ...]
-    order: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         legs = tuple(int(x) for x in self.legs)
@@ -354,18 +353,11 @@ class SpiderSpec:
             raise GeneratorError(f"leg lengths must be >= 1, got {legs!r}")
         if 1 + sum(legs) > MAX_VERTICES:
             raise GeneratorError("spider exceeds the vertex limit")
-        if self.order is None:
-            object.__setattr__(self, "order", tuple(spider_order(legs)))
-        else:
-            order = tuple(self.order)
-            if sorted(order) != list(range(len(legs))):
-                raise GeneratorError(f"order {order!r} is not a permutation")
-            object.__setattr__(self, "order", order)
-            seq = [legs[i] for i in order]
-            odds = [x for x in seq if x % 2]
-            evens = [x for x in seq if x % 2 == 0]
-            if seq != odds + evens or odds != sorted(odds) or evens != sorted(evens, reverse=True):
-                raise GeneratorError(f"order {order!r} violates the leg ordering rules")
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The canonical-order permutation over legs (`spider_order`)."""
+        return tuple(spider_order(self.legs))
 
     @property
     def k(self) -> int:
@@ -656,7 +648,7 @@ class GraphParams:
     edge_count: int
 
 
-def max_independent_set_size(g: Graph, allowed: Optional[int] = None) -> int:
+def max_independent_set_size(g: Graph) -> int:
     """Exact alpha by branch and bound (take/skip a max-degree vertex)."""
     adj = g.adj
     best = 0
@@ -687,7 +679,7 @@ def max_independent_set_size(g: Graph, allowed: Optional[int] = None) -> int:
             rec(allowed & ~(adj[pick] | (1 << pick)), size + 1)
             allowed ^= 1 << pick  # skip pick and loop
 
-    rec(g.vertex_mask if allowed is None else allowed, 0)
+    rec(g.vertex_mask, 0)
     return best
 
 

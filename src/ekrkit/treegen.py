@@ -7,15 +7,15 @@ size once every free-tree class (OEIS A000055) has appeared; the remaining
 sequences can only repeat a class.  Free trees are also generated directly by
 leaf extension, which is vastly cheaper for the larger sizes the
 counterexample hunts need.
-`search_trees` (first labeled tree of each class) and `search_catalog` (an
-explicit list) feed one sweep loop, which checks the property at every
-admissible set size and builds the canonical certificate only for findings.
+`search_catalog` checks a property on every graph of a catalog at every
+admissible set size and builds the canonical certificate only for findings;
+`search_trees` runs it on the first labeled tree of each class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .graphs import Graph, GraphError, bit_list, emit_graph6, max_independent_set_size
 from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget, is_r_ekr, is_r_hk
@@ -57,12 +57,6 @@ def prufer_decode(seq: tuple, n: int) -> list[tuple[int, int]]:
             leaf = ptr
     edges.append((leaf, n - 1))
     return edges
-
-
-def iter_labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
-    """Every labeled tree on n vertices, one edge list per Pruefer sequence."""
-    for seq in product(range(n), repeat=max(n - 2, 0)):
-        yield prufer_decode(seq, n)
 
 
 def _class_key(n: int, edges, shapes: dict) -> tuple:
@@ -158,40 +152,6 @@ def free_trees(n: int) -> list[Graph]:
     return out
 
 
-def iter_partitions(total: int, min_parts: int = 1,
-                    max_part: Optional[int] = None) -> Iterator[tuple]:
-    """Nonincreasing positive tuples summing to total with >= min_parts parts."""
-    cap = total if max_part is None else max_part
-
-    def rec(rest: int, bound: int, acc: list):
-        if rest == 0:
-            if len(acc) >= min_parts:
-                yield tuple(acc)
-            return
-        for part in range(min(bound, rest), 0, -1):
-            acc.append(part)
-            yield from rec(rest - part, part, acc)
-            acc.pop()
-
-    yield from rec(total, cap, [])
-
-
-def iter_compositions(total: int, min_parts: int = 1) -> Iterator[tuple]:
-    """All ordered positive tuples summing to total with >= min_parts parts."""
-
-    def rec(rest: int, acc: list):
-        if rest == 0:
-            if len(acc) >= min_parts:
-                yield tuple(acc)
-            return
-        for part in range(1, rest + 1):
-            acc.append(part)
-            yield from rec(rest - part, acc)
-            acc.pop()
-
-    yield from rec(total, [])
-
-
 # -- exhaustive sweeps ---------------------------------------------------
 
 PROP_HK = "hk"
@@ -264,9 +224,10 @@ def _check_ekr(g: Graph, r: int, budget: Optional[SearchBudget]):
 _CHECKS = {PROP_HK: _check_hk, PROP_EKR: _check_ekr}
 
 
-def _sweep(prop: str, graphs: Iterable[Graph], r_max: Optional[int],
-           budget: Optional[SearchBudget], on_finding: Optional[Callable]) -> SweepSummary:
-    """Check prop on every graph at every r up to min(r_max, alpha).
+def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = None,
+                   budget: Optional[SearchBudget] = None,
+                   on_finding: Optional[Callable] = None) -> SweepSummary:
+    """Check prop on every graph of the catalog at every r up to min(r_max, alpha).
 
     Each graph counts once as seen and once as unique; the certificate (the
     tree certificate for trees, graph6 otherwise) is built only for findings.
@@ -327,13 +288,7 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
                     if len(seen) == classes:
                         break
 
-    summary = _sweep(prop, first_of_each_class(), r_max, budget, on_finding)
+    summary = search_catalog(prop, first_of_each_class(), r_max, budget, on_finding)
     labeled = sum(n ** max(n - 2, 0) for n in range(n_min, n_max + 1))
     return replace(summary, n_max=n_max, labeled_seen=labeled)
 
-
-def search_catalog(prop: str, graphs: list[Graph], r_max: Optional[int] = None,
-                   budget: Optional[SearchBudget] = None,
-                   on_finding: Optional[Callable] = None) -> SweepSummary:
-    """Run the same per-graph checks over an explicit catalog of graphs."""
-    return _sweep(prop, graphs, r_max, budget, on_finding)

@@ -261,10 +261,7 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
 def _candidates(g: Graph, r: Optional[int]) -> list[int]:
     """The independent r-sets of g; every nonempty independent set if r is None."""
     if r is None:
-        cands = all_independent_sets(g)
-        if not cands:
-            raise GraphError("graph has no nonempty independent sets")
-        return cands
+        return all_independent_sets(g)
     if not isinstance(r, int) or r < 1:
         raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
     cands = list(enum_independent_rsets(FamilyQuery(graph=g, r=r)))
@@ -361,16 +358,23 @@ class HkReport:
         }
 
 
+def _star_sizes(t: Graph, r: int) -> tuple:
+    """s_r(v) for every vertex of the forest t; GraphError unless r >= 1 and some
+    independent r-set exists."""
+    if not isinstance(r, int) or r < 1:
+        raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
+    sizes = tuple(vec[r] for vec in star_vectors_tree_dp(t, r))
+    if not max(sizes):
+        raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
+    return sizes
+
+
 def is_r_hk(t: Graph, r: int) -> HkReport:
     """Does some leaf of the tree maximise s_r?"""
     if not t.is_tree():
         raise GraphError("leaf-maximum verdicts need a tree")
-    if not isinstance(r, int) or r < 1:
-        raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
-    sizes = tuple(vec[r] for vec in star_vectors_tree_dp(t, r))
+    sizes = _star_sizes(t, r)
     top = max(sizes)
-    if top == 0:
-        raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
     leaves = [v for v in range(t.n) if t.degree(v) <= 1]
     holds = any(sizes[v] == top for v in leaves)
     if holds:
@@ -405,10 +409,10 @@ def spider_order_check(spec: SpiderSpec, r: int) -> SpiderOrderReport:
 
     With legs taken in canonical order: the centre never beats a leaf, no
     vertex on a leg beats that leg's leaf, and earlier legs' leaves dominate
-    later legs' leaves.
+    later legs' leaves.  Raises GraphError unless r >= 1 and some
+    independent r-set exists, as is_r_hk does.
     """
-    g = spec.realize()
-    sizes = tuple(vec[r] for vec in star_vectors_tree_dp(g, r))
+    sizes = _star_sizes(spec.realize(), r)
     violations = []
     ordered = list(spec.order)
     leaf = [spec.leaf_vertex(i) for i in range(spec.k)]

@@ -4,7 +4,7 @@ Everything here works from raw (n, edge list) data with naive algorithms:
 itertools enumeration, full subset scans, union-find.  Nothing routes
 through the package's own counting or search code paths.
 """
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def mask(vertices) -> int:
@@ -33,8 +33,9 @@ def brute_independent_rsets(n: int, edges, r: int) -> list:
     return sorted(out)
 
 
-def brute_all_independent_sets(n: int, edges, include_empty: bool = False) -> list:
-    out = [] if not include_empty else [0]
+def brute_all_independent_sets(n: int, edges) -> list:
+    """Nonempty independent sets of every size as sorted bitmask ints."""
+    out = []
     for r in range(1, n + 1):
         out.extend(brute_independent_rsets(n, edges, r))
     return sorted(out)
@@ -116,6 +117,45 @@ def simple_prufer_decode(seq, n: int) -> list:
     u, v = [x for x in range(n) if deg[x] == 1]
     edges.append((u, v))
     return edges
+
+
+def iter_labeled_trees(n: int):
+    """Every labeled tree on n vertices, one edge list per Pruefer sequence."""
+    for seq in product(range(n), repeat=max(n - 2, 0)):
+        yield simple_prufer_decode(seq, n)
+
+
+def iter_partitions(total: int, min_parts: int = 1, max_part=None):
+    """Nonincreasing positive tuples summing to total with >= min_parts parts."""
+    cap = total if max_part is None else max_part
+
+    def rec(rest: int, bound: int, acc: list):
+        if rest == 0:
+            if len(acc) >= min_parts:
+                yield tuple(acc)
+            return
+        for part in range(min(bound, rest), 0, -1):
+            acc.append(part)
+            yield from rec(rest - part, part, acc)
+            acc.pop()
+
+    yield from rec(total, cap, [])
+
+
+def iter_compositions(total: int, min_parts: int = 1):
+    """All ordered positive tuples summing to total with >= min_parts parts."""
+
+    def rec(rest: int, acc: list):
+        if rest == 0:
+            if len(acc) >= min_parts:
+                yield tuple(acc)
+            return
+        for part in range(1, rest + 1):
+            acc.append(part)
+            yield from rec(rest - part, acc)
+            acc.pop()
+
+    yield from rec(total, [])
 
 
 def random_graph_edges(rng, n: int, m: int) -> list:

@@ -29,7 +29,7 @@ def report(tag: str, desc: str, ok: bool, extra: str = ""):
 
 
 def spiders(n_lo: int, n_hi: int, shapes="partitions"):
-    gen = T.iter_partitions if shapes == "partitions" else T.iter_compositions
+    gen = H.iter_partitions if shapes == "partitions" else H.iter_compositions
     for n in range(max(4, n_lo), n_hi + 1):
         for legs in gen(n - 1, 3):
             yield n, SpiderSpec(legs)

@@ -187,6 +187,18 @@ def test_thresholds_reject_degenerate_parameters():
     assert B.rmax("T6", BoundQuery(n=0, s=1)) == []
 
 
+def test_hypothesis_rejects_r_below_one():
+    # as claim_star_lower does: a set size below 1 is no applicable case
+    for theorem, q in [("T3", BoundQuery(n=100, d=2)),
+                       ("T2-avg", BoundQuery(n=145, c_density=Fraction(1))),
+                       ("T5", BoundQuery(n=16)), ("T6", BoundQuery(n=143, s=2)),
+                       ("T8", BoundQuery(n=145))]:
+        for r in (0, -3):
+            with pytest.raises(GraphError, match="r >= 1"):
+                B.hypothesis(theorem, replace(q, r=r))
+        B.hypothesis(theorem, replace(q, r=1))
+
+
 def test_rmax_frozen_values():
     assert B.rmax("T5", BoundQuery(n=16)) == [1, 2]
     assert B.rmax("T5", BoundQuery(n=7)) == [1]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -80,6 +81,29 @@ def test_bounds_argument_validation(capsys):
     assert code == 1
     code, out, err = run_main(capsys, "bounds", "--theorem", "T99", "--n", "16")
     assert code == 1
+    # each theorem reads n and r plus its bounds.THEOREM_READS entry; of the
+    # formulas only claim-star reads --d; any other --d, --s or --c is an error
+    for argv, unread in [
+        (["--theorem", "T6", "--n", "143", "--s", "2", "--r", "5", "--d", "4", "--c", "1/2"],
+         "--d, --c"),
+        (["--theorem", "T3", "--n", "100", "--d", "2", "--s", "1"], "--s"),
+        (["--theorem", "T2-avg", "--n", "145", "--c", "1", "--d", "2"], "--d"),
+        (["--theorem", "T5", "--n", "16", "--s", "2"], "--s"),
+        (["--theorem", "T8", "--n", "145", "--c", "1"], "--c"),
+        (["--formula", "hm", "--n", "9", "--r", "4", "--d", "2"], "--d"),
+        (["--formula", "ekr", "--n", "9", "--r", "4", "--s", "2"], "--s"),
+        (["--formula", "claim-star", "--n", "9", "--r", "4", "--d", "2", "--c", "1"], "--c"),
+    ]:
+        code, out, err = run_main(capsys, "bounds", *argv)
+        assert code == 1 and out == "", argv
+        assert err == f"error: {argv[1]} does not read {unread}\n", err
+    option = {"d": "--d", "s": "--s", "c_density": "--c"}
+    for theorem, reads in bounds.THEOREM_READS.items():
+        argv = ["--theorem", theorem, "--n", "400", "--r", "2"]
+        for name in reads[1:]:  # every entry starts with n
+            argv += [option[name], "2"]
+        code, payload = run_json(capsys, "bounds", *argv)
+        assert code == 0 and payload["theorem"] == theorem
 
 
 # -- remaining commands -----------------------------------------------------------
@@ -164,6 +188,9 @@ def test_spider_order_command(capsys):
     assert payload["ordered_legs"] == [1, 3, 4, 2]
     code, payload = run_json(capsys, "spider-order", "--legs", "2,2,2", "--r", "2")
     assert code == 0 and payload["ok"] is True
+    for r in ("4", "0"):  # beyond alpha = 3, and below 1: no star to compare
+        code, out, err = run_main(capsys, "spider-order", "--legs", "1,1,1", "--r", r)
+        assert code == 1 and out == "" and err.startswith("error:"), err
 
 
 def test_grid_csv_and_json(capsys):
@@ -226,11 +253,13 @@ def test_grid_json_matches_json_dumps():
     ["--theorem", "T3", "--n", "10", "--d", "-1"],
     ["--theorem", "T5", "--n", "-5"],
     ["--theorem", "T6", "--n", "-5", "--s", "1"],
+    ["--theorem", "T5", "--n", "16", "--r", "0"],
+    ["--theorem", "T5", "--n", "16", "--r", "-3"],
 ])
 def test_bounds_rejects_degenerate_parameters(capsys, argv):
     code, out, err = run_main(capsys, "bounds", *argv)
     assert code == 1 and out == ""
-    name = "d" if "--d" in argv else "n"
+    name = "d" if "--d" in argv else "r" if "--r" in argv else "n"
     assert err.startswith("error: ") and f"{name}=" in err, err
 
 
@@ -378,6 +407,10 @@ def test_file_errors_are_input_errors(capsys, tmp_path, argv):
     ["search-ekr", "--n-max", "3", "--catalog", "catalog.txt"],
     ["search-hk", "--n-max", "3", "--format", "text"],  # sweeps print JSON lines only
     ["search-ekr", "--n-max", "3", "--format", "text"],
+    ["search-hk", "--n-max", "3", "--format", "json"],  # ... and take no --format
+    ["search-ekr", "--n-max", "3", "--format", "json"],
+    ["grid", "--suite", "hm-identity", "--format", "text"],  # csv or json
+    ["bounds", "--theorem", "T5", "--n", "16", "--k", "3"],
     ["search-ekr", "--catalog", "catalog.txt", "--n-min", "3"],
     ["peel", "--graph", "star:9", "--threshold", "6", "--c", "1"],  # --c needs --r
     ["peel", "--graph", "star:9", "--threshold", "6", "--r", "2"],
@@ -397,6 +430,36 @@ def test_argument_errors_are_input_errors(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_main(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:"), err
+
+
+# every subcommand's options, with the choices of those that have them: a
+# settable value added or dropped shows up here
+OPTIONS = {
+    "count": ["--anchor", "--forbid", "--format=json|text", "--graph",
+              "--method=auto|enumeration|tree-dp|closed-form", "--out", "--r"],
+    "star": ["--format=json|text", "--graph", "--out", "--r", "--vertex"],
+    "ekr": ["--budget", "--format=json|text", "--graph", "--out", "--r"],
+    "strict-ekr": ["--budget", "--format=json|text", "--graph", "--out", "--r"],
+    "nonuniform-ekr": ["--budget", "--format=json|text", "--graph", "--out"],
+    "hk": ["--format=json|text", "--graph", "--out", "--r"],
+    "spider-order": ["--format=json|text", "--legs", "--out", "--r"],
+    "bounds": ["--c", "--d", "--format=json|text", "--formula=ekr|hm|frankl|claim-star",
+               "--n", "--out", "--r", "--s", "--theorem=T3|T2-avg|T5|T6|T8"],
+    "grid": ["--format=csv|json", "--out",
+             "--suite=degree-product|binoms|binoms2|hm-identity|estimates|all"],
+    "peel": ["--c", "--format=json|text", "--graph", "--out", "--r", "--threshold"],
+    "search-hk": ["--n-max", "--n-min", "--out", "--r-max"],
+    "search-ekr": ["--budget", "--catalog", "--n-max", "--n-min", "--out", "--r-max"],
+}
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(a.option_strings[0] + ("=" + "|".join(a.choices) if a.choices else "")
+                        for a in sp._actions if a.option_strings and a.dest != "help")
+           for name, sp in sub.choices.items()}
+    assert got == OPTIONS
 
 
 # -- goldens: stdout bytes of every README command -------------------------------

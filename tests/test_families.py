@@ -69,6 +69,12 @@ def test_family_query_validation():
         FamilyQuery(graph=g, r=2, anchor=9)
     with pytest.raises(GraphError):
         FamilyQuery(graph=g, r=2, anchor=1, forbidden=H.mask([1]))
+    # indep_size_counts takes anchor and forbidden by the same rules
+    for kw in (dict(anchor=9), dict(anchor=-1), dict(forbidden=H.mask([9])),
+               dict(forbidden=-1), dict(anchor=1, forbidden=H.mask([1]))):
+        with pytest.raises(GraphError):
+            indep_size_counts(g, **kw)
+    assert indep_size_counts(g, anchor=0, forbidden=H.mask([2])) == [0, 1, 1, 0, 0]
 
 
 def test_all_independent_sets():
@@ -76,7 +82,7 @@ def test_all_independent_sets():
     got = all_independent_sets(g)
     assert got == H.brute_all_independent_sets(4, g.edges())
     assert 0 not in got
-    assert all_independent_sets(g, include_empty=True)[0] == 0
+    assert all_independent_sets(Graph(1, [])) == [1]
 
 
 def test_indep_size_counts_vs_brute():

@@ -263,12 +263,6 @@ def test_spider_spec_validation():
         SpiderSpec((2, 2))
     with pytest.raises(GeneratorError):
         SpiderSpec((0, 1, 2))
-    with pytest.raises(GeneratorError):
-        SpiderSpec((1, 2, 3), order=(0, 1))
-    with pytest.raises(GeneratorError):
-        SpiderSpec((1, 2, 3), order=(1, 0, 2))  # evens before odds
-    ok = SpiderSpec((1, 2, 3), order=(0, 2, 1))
-    assert ok.order == (0, 2, 1)
 
 
 def test_spider_realize_matches_generate():

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
 import pytest
@@ -47,10 +47,13 @@ def test_prufer_decode_matches_textbook_and_networkx():
 
 
 def test_iter_labeled_trees_counts():
+    # the test-side reference sweep gives the package decoder's edge lists
     for n, want in [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125)]:
-        trees = list(T.iter_labeled_trees(n))
+        trees = list(H.iter_labeled_trees(n))
         assert len(trees) == want
         assert all(H.is_tree(n, e) for e in trees)
+        assert trees == [T.prufer_decode(seq, n)
+                         for seq in product(range(n), repeat=max(n - 2, 0))]
 
 
 # -- canonical certificates -----------------------------------------------------
@@ -109,7 +112,7 @@ def test_free_trees_are_trees_and_nonisomorphic():
 
 def test_free_trees_match_labeled_sweep_dedup():
     for n in range(2, 8):
-        certs = {T.tree_certificate(n, e) for e in T.iter_labeled_trees(n)}
+        certs = {T.tree_certificate(n, e) for e in H.iter_labeled_trees(n)}
         assert len(certs) == len(T.free_trees(n))
         assert certs == {T.tree_certificate(n, g.edges()) for g in T.free_trees(n)}
 
@@ -122,7 +125,7 @@ def test_class_key_partitions_labeled_trees_like_certificates():
         shapes = {}
         cert_of_key = {}
         key_of_cert = {}
-        for edges in T.iter_labeled_trees(n):
+        for edges in H.iter_labeled_trees(n):
             key = T._class_key(n, edges, shapes)
             cert = T.tree_certificate(n, edges)
             assert cert_of_key.setdefault(key, cert) == cert, (n, edges)
@@ -156,26 +159,26 @@ def test_free_trees_labels_edges_and_order_pinned():
             h.update(f"{g.label} {g.edges()} {T.tree_certificate(n, g.edges())}\n".encode())
     assert h.hexdigest() == "8d86fe8e35331850f25f19448ffefc6f6db457abaff0032d82382a8170c456d1"
 
-# -- integer partitions / compositions ---------------------------------------------
+# -- integer partitions / compositions (test helpers) ------------------------------
 
 def test_iter_partitions():
-    parts = list(T.iter_partitions(6))
+    parts = list(H.iter_partitions(6))
     assert len(parts) == 11
     assert all(sum(p) == 6 and list(p) == sorted(p, reverse=True) for p in parts)
     assert len(set(parts)) == 11
-    assert list(T.iter_partitions(6, min_parts=3)) == [
+    assert list(H.iter_partitions(6, min_parts=3)) == [
         p for p in parts if len(p) >= 3]
-    assert all(max(p) <= 2 for p in T.iter_partitions(6, max_part=2))
-    assert list(T.iter_partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
+    assert all(max(p) <= 2 for p in H.iter_partitions(6, max_part=2))
+    assert list(H.iter_partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
 
 
 def test_iter_compositions():
     for m in range(1, 8):
-        comps = list(T.iter_compositions(m))
+        comps = list(H.iter_compositions(m))
         assert len(comps) == 2 ** (m - 1)
         assert all(sum(c) == m for c in comps)
         assert len(set(comps)) == len(comps)
-    assert list(T.iter_compositions(3, min_parts=2)) == [
+    assert list(H.iter_compositions(3, min_parts=2)) == [
         (1, 1, 1), (1, 2), (2, 1)]
 
 
@@ -213,7 +216,7 @@ def reference_trees():
     reps = []
     for n in range(2, 9):
         shapes, seen = {}, set()
-        for edges in T.iter_labeled_trees(n):
+        for edges in H.iter_labeled_trees(n):
             key = T._class_key(n, edges, shapes)
             if key not in seen:
                 seen.add(key)

@@ -10,7 +10,6 @@ import ekrkit.verify as V
 from ekrkit.families import TREE_DP, FamilyQuery, enum_independent_rsets, star_size
 from ekrkit.graphs import (Graph, GraphError, SpiderSpec, generate,
                            max_independent_set_size)
-from ekrkit.treegen import iter_partitions
 
 import helpers as H
 
@@ -263,7 +262,7 @@ def test_hk_prefers_leaf_on_ties():
 def test_star_verdicts_match_per_vertex_route_on_spiders():
     # the reports as built from one tree DP per vertex
     for n in range(4, 13):
-        for legs in iter_partitions(n - 1, min_parts=3):
+        for legs in H.iter_partitions(n - 1, min_parts=3):
             spec = SpiderSpec(legs)
             g = spec.realize()
             leaves = [v for v in range(n) if g.degree(v) <= 1]
@@ -292,6 +291,13 @@ def test_spider_order_check():
     assert d["ok"] is True and d["violations"] == []
     with pytest.raises(GraphError):
         V.spider_order_check(SpiderSpec((2, 2, 2)), 9)
+    # r = 4 fits in n = 4 but exceeds alpha = 3, and r = 0 has no star: both are
+    # rejected as is_r_hk rejects them, not reported ok over all-zero sizes
+    for r in (4, 0):
+        with pytest.raises(GraphError, match="independent 4-sets" if r else "r >= 1"):
+            V.spider_order_check(SpiderSpec((1, 1, 1)), r)
+        with pytest.raises(GraphError, match="independent 4-sets" if r else "r >= 1"):
+            V.is_r_hk(generate("spider:1,1,1"), r)
 
 
 # -- orbital branching ------------------------------------------------------
