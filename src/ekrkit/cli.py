@@ -127,8 +127,8 @@ def _run_star(args, stream) -> int:
         payload = {"graph": g.label or args.graph, "n": g.n, "r": args.r,
                    "vertex": args.vertex, "size": res.count, "method": res.method}
     else:
-        if g.is_forest():  # one rerooting pass instead of a DP per vertex
-            sizes = [vec[args.r] for vec in fam.star_vectors_tree_dp(g, args.r)]
+        if g.is_forest():  # one rerooting pass, reading coefficient r only
+            sizes = fam._star_column(g, args.r)
         else:
             sizes = [fam.star_size(g, v, args.r).count for v in range(g.n)]
         top = max(sizes)

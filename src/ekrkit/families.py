@@ -146,45 +146,20 @@ def count_path_rsets(m: int, r: int) -> CountResult:
 
 # -- rooted tree DP ----------------------------------------------------
 
-def _conv(a: list[int], b: list[int], cap: int) -> list[int]:
-    out = [0] * (min(len(a) + len(b) - 1, cap + 1))
-    for i, x in enumerate(a):
-        if x:
-            top = min(len(b), len(out) - i)
-            for j in range(top):
-                out[i + j] += x * b[j]
-    return out
-
-
-def _add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
-
-
-def _fit(a: list[int], cap: int) -> list[int]:
-    return a[:cap + 1] + [0] * (cap + 1 - len(a))
-
-
-def _div(a: list[int], b: list[int], cap: int) -> list[int]:
-    # power series a / b truncated after x^cap; exact in integers as b[0] == 1
-    out = _fit(a, cap)
-    for i, x in enumerate(out):
-        if x:
-            for j in range(1, min(len(b), cap + 1 - i)):
-                out[i + j] -= x * b[j]
-    return out
-
-
-def _rooted_polys(g: Graph, cap: int, first: int = 0):
+def _rooted_polys(g: Graph, first: int = 0):
     """The down pass shared by every tree DP: (order, parent, roots, inc, exc).
 
     Roots the component of `first` at `first` and every other component at
     its smallest vertex; `roots` lists them in that order.  `order` is
     breadth-first, one component after another, so parents come before
-    their children.  inc[u][s] / exc[u][s] count the independent s-sets of
-    u's subtree with u in / out, truncated after x^cap.  Raises GraphError
-    unless g is a forest.
+    their children.  inc[u] / exc[u] count the independent sets of u's
+    subtree with u in / out, packed into one int with the count of s-sets
+    at bit (n + 1) * s.  Raises GraphError unless g is a forest.
+
+    Packing is exact: every coefficient any tree DP builds counts independent
+    sets of a subgraph of g, so it is below 2**n and no slot carries into the
+    next.  A packed product is thus the packed polynomial product, and an
+    exact integer quotient the packed polynomial quotient.
     """
     n = g.n
     adj = g.adj
@@ -209,25 +184,36 @@ def _rooted_polys(g: Graph, cap: int, first: int = 0):
                 order.append(w)
     if g.edge_count() != n - len(roots):
         raise GraphError("tree DP requires a forest")
-    inc = [[0, 1] for _ in range(n)]
-    exc = [[1] for _ in range(n)]
+    inc = [1 << (n + 1)] * n
+    exc = [1] * n
     for u in reversed(order):
         p = parent[u]
         if p >= 0:
-            inc[p] = _conv(inc[p], exc[u], cap)
-            exc[p] = _conv(exc[p], _add(inc[u], exc[u]), cap)
+            inc[p] *= exc[u]
+            exc[p] *= inc[u] + exc[u]
     return order, parent, roots, inc, exc
+
+
+def _checked_cap(g: Graph, max_size: Optional[int]) -> int:
+    cap = g.n if max_size is None else max_size
+    if cap < 0:
+        raise GraphError(f"r={cap} out of range")
+    return cap
+
+
+def _unpack(poly: int, n: int, cap: int) -> list[int]:
+    # coefficients 0..cap of a polynomial packed with n + 1 bits per slot
+    w = n + 1
+    mask = (1 << w) - 1
+    return [poly >> (w * s) & mask for s in range(cap + 1)]
 
 
 def indep_size_counts_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[int]:
     """Per-size independent set counts of a forest: the product of the
     roots' totals inc + exc after one down pass."""
-    cap = g.n if max_size is None else max_size
-    _order, _parent, roots, inc, exc = _rooted_polys(g, cap)
-    total = [1]
-    for s in roots:
-        total = _conv(total, _add(inc[s], exc[s]), cap)
-    return _fit(total, cap)
+    cap = _checked_cap(g, max_size)
+    _order, _parent, roots, inc, exc = _rooted_polys(g)
+    return _unpack(math.prod(inc[s] + exc[s] for s in roots), g.n, cap)
 
 
 def star_vector_tree_dp(g: Graph, v: int, max_size: Optional[int] = None) -> list[int]:
@@ -238,45 +224,53 @@ def star_vector_tree_dp(g: Graph, v: int, max_size: Optional[int] = None) -> lis
     """
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
-    cap = g.n if max_size is None else max_size
-    _order, _parent, roots, inc, exc = _rooted_polys(g, cap, first=v)
-    total = inc[v]
-    for s in roots[1:]:
-        total = _conv(total, _add(inc[s], exc[s]), cap)
-    return _fit(total, cap)
+    cap = _checked_cap(g, max_size)
+    _order, _parent, roots, inc, exc = _rooted_polys(g, first=v)
+    return _unpack(inc[v] * math.prod(inc[s] + exc[s] for s in roots[1:]), g.n, cap)
 
 
-def star_vectors_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[list[int]]:
-    """star_vector_tree_dp(g, v, max_size) for every vertex v of the forest g.
+def _star_polys(g: Graph, r: int) -> list[int]:
+    """The packed star polynomial of every vertex of the forest g (GraphError
+    unless 0 <= r <= n).
 
-    One rerooting pass instead of one DP per vertex: the down pass gives each
-    subtree's (inc, exc) polynomials, and a pass up recovers, for each child,
-    the rest of the tree as seen from it by dividing its parent's whole-tree
-    polynomials by the child's factor.  Every divisor has constant term 1,
-    so the truncated series division is exact.  Other components enter as
-    the product of their totals.
+    One rerooting pass instead of one DP per vertex: after the down pass, a
+    pass down the order recovers, for each child, the rest of the tree as
+    seen from it by dividing its parent's whole-tree polynomials by the
+    child's factor.  Other components enter as the product of their totals.
     """
     n = g.n
-    cap = n if max_size is None else max_size
-    if not 0 <= cap <= n:
-        raise GraphError(f"r={cap} out of range")
-    order, parent, roots, inc, exc = _rooted_polys(g, cap)
-    forest = [1]
-    for s in roots:
-        forest = _conv(forest, _add(inc[s], exc[s]), cap)
+    if not 0 <= r <= n:
+        raise GraphError(f"r={r} out of range")
+    order, parent, roots, inc, exc = _rooted_polys(g)
+    forest = math.prod(inc[s] + exc[s] for s in roots)
     whole_inc, whole_exc = inc[:], exc[:]  # the whole component, rooted at u
-    others = [None] * n  # product of the other components' totals
+    others = [0] * n  # product of the other components' totals
     for u in order:
         p = parent[u]
         if p < 0:
-            others[u] = _div(forest, _add(inc[u], exc[u]), cap)
+            others[u] = forest // (inc[u] + exc[u])
             continue
         others[u] = others[p]
-        up_inc = _div(whole_inc[p], exc[u], cap)
-        up_exc = _div(whole_exc[p], _add(inc[u], exc[u]), cap)
-        whole_inc[u] = _conv(inc[u], up_exc, cap)
-        whole_exc[u] = _conv(exc[u], _add(up_inc, up_exc), cap)
-    return [_fit(_conv(others[v], whole_inc[v], cap), cap) for v in range(n)]
+        up_inc = whole_inc[p] // exc[u]
+        up_exc = whole_exc[p] // (inc[u] + exc[u])
+        whole_inc[u] = inc[u] * up_exc
+        whole_exc[u] = exc[u] * (up_inc + up_exc)
+    return [others[v] * whole_inc[v] for v in range(n)]
+
+
+def star_vectors_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[list[int]]:
+    """star_vector_tree_dp(g, v, max_size) for every vertex v of the forest g,
+    from one rerooting pass; max_size may not exceed n."""
+    cap = g.n if max_size is None else max_size
+    return [_unpack(poly, g.n, cap) for poly in _star_polys(g, cap)]
+
+
+def _star_column(g: Graph, r: int) -> list[int]:
+    """s_r(v) for every vertex v of the forest g: column r of
+    star_vectors_tree_dp(g, r), shifting out only coefficient r."""
+    w = g.n + 1
+    mask = (1 << w) - 1
+    return [poly >> (w * r) & mask for poly in _star_polys(g, r)]
 
 
 def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int = 0,

@@ -35,8 +35,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .families import (FamilyQuery, all_independent_sets, enum_independent_rsets,
-                       star_vectors_tree_dp)
+from .families import (FamilyQuery, _star_column, all_independent_sets,
+                       enum_independent_rsets)
 from .graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, bit_list,
                      find_root, iter_bits)
 
@@ -141,16 +141,20 @@ def _meeting(contains: dict[int, int], s: int) -> int:
 
 def _orbit_masks(sets: list[int], gens: list[tuple]) -> list[int]:
     """Index mask of each set's orbit under the vertex permutations `gens`,
-    which must map the list of sets onto itself."""
+    which must map the list of sets onto itself.  Each permutation fixes
+    the sets disjoint from its support and maps only the moved vertices of
+    the others."""
     index = {s: i for i, s in enumerate(sets)}
     root = list(range(len(sets)))
     for perm in gens:
-        img = [1 << x for x in perm]
+        support = sum(1 << x for x, y in enumerate(perm) if x != y)
         for i, s in enumerate(sets):
-            t = 0
-            for v in iter_bits(s):
-                t |= img[v]
-            root[find_root(root, i)] = find_root(root, index[t])
+            moved = s & support
+            if moved:
+                t = s ^ moved
+                for v in iter_bits(moved):
+                    t |= 1 << perm[v]
+                root[find_root(root, i)] = find_root(root, index[t])
     masks = [0] * len(sets)
     for i in range(len(sets)):
         masks[find_root(root, i)] |= 1 << i
@@ -363,7 +367,7 @@ def _star_sizes(t: Graph, r: int) -> tuple:
     independent r-set exists."""
     if not isinstance(r, int) or r < 1:
         raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
-    sizes = tuple(vec[r] for vec in star_vectors_tree_dp(t, r))
+    sizes = tuple(_star_column(t, r))
     if not max(sizes):
         raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
     return sizes

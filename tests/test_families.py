@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from math import comb
 
@@ -199,6 +201,56 @@ def test_star_vectors_validation():
         star_vectors_tree_dp(generate("path:4"), 5)
     with pytest.raises(GraphError):
         star_vectors_tree_dp(generate("path:4"), -1)
+    # a negative cap is the same error on all three routes
+    p4 = generate("path:4")
+    for route in (lambda cap: star_vectors_tree_dp(p4, cap),
+                  lambda cap: star_vector_tree_dp(p4, 1, cap),
+                  lambda cap: indep_size_counts_tree_dp(p4, cap)):
+        for cap in (-1, -3):
+            with pytest.raises(GraphError, match=f"r={cap} out of range"):
+                route(cap)
+    # a cap above n pads with zeros on the two routes that take it
+    assert indep_size_counts_tree_dp(p4, 6) == [1, 4, 3, 0, 0, 0, 0]
+    assert star_vector_tree_dp(p4, 1, 6) == [0, 1, 1, 0, 0, 0, 0]
+
+
+def test_tree_dp_at_the_vertex_limit():
+    # counts here reach about 2**123, so packing slots too narrow for them
+    # would carry into the next coefficient
+    n = 128
+    path = generate(f"path:{n}")
+
+    def path_counts(m):
+        return [count_path_rsets(m, r).count for r in range(n + 1)]
+
+    assert indep_size_counts_tree_dp(path) == path_counts(n)
+    stars = star_vectors_tree_dp(path)
+    for v in (0, 1, 2, 40, 63, 64, 126, 127):
+        # v excludes its neighbours: paths of v - 1 and n - v - 2 vertices remain
+        left, right = path_counts(max(v - 1, 0)), path_counts(max(n - v - 2, 0))
+        want = [sum(left[a] * right[r - 1 - a] for a in range(r)) for r in range(n + 1)]
+        assert stars[v] == want, v
+    star = generate("star:127")
+    centre = [int(r == 1) for r in range(n + 1)]
+    leaf = [comb(126, r - 1) if r else 0 for r in range(n + 1)]
+    assert star_vectors_tree_dp(star) == [centre] + [leaf] * 127
+    assert star_vector_tree_dp(star, 0) == centre
+    assert star_vector_tree_dp(star, 127) == leaf
+
+
+def test_star_vectors_digest_pins_the_list_dp():
+    # SHA-256 of star_vectors_tree_dp(g) over every spider with n <= 14 and
+    # every free tree with n <= 11, as computed by the coefficient-list DP
+    # that the packed-integer DP replaced
+    graphs = [generate("spider:" + ",".join(map(str, legs)))
+              for n in range(4, 15) for legs in H.iter_partitions(n - 1, min_parts=3)]
+    graphs += [t for n in range(1, 12) for t in free_trees(n)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(json.dumps(star_vectors_tree_dp(g)).encode() + b"\n")
+    assert len(graphs) == 753
+    assert digest.hexdigest() == (
+        "6a37dbcf0ba8f9b9917cbd1bf4c1ff6667884ff6e8e707704d42d239ed2f42fb")
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekrkit.verify as V
-from ekrkit.families import TREE_DP, FamilyQuery, enum_independent_rsets, star_size
-from ekrkit.graphs import (Graph, GraphError, SpiderSpec, generate,
+from ekrkit.families import (TREE_DP, FamilyQuery, all_independent_sets,
+                             enum_independent_rsets, star_size)
+from ekrkit.graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, generate,
                            max_independent_set_size)
 
 import helpers as H
@@ -356,3 +357,18 @@ def test_orbital_search_explores_fewer_nodes_on_edgeless_graphs(n, monkeypatch):
 @pytest.mark.parametrize("spec", ["spider:4,4,4", "spider:3,3,3,3"])
 def test_orbital_search_explores_fewer_nodes_on_spiders(spec, monkeypatch):
     _assert_fewer_nodes_same_json(generate(spec), 4, monkeypatch)
+
+
+def test_orbit_masks_match_permutation_closure():
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        g = Graph(n, H.random_graph_edges(rng, n, rng.randint(0, 2 * n)))
+        setwise = rng.randrange(1 << n)
+        gens = automorphism_generators(g, setwise=setwise)
+        sets = all_independent_sets(g)  # mapped onto itself by every automorphism
+        index = {s: i for i, s in enumerate(sets)}
+        group = H.perm_closure(gens, n)
+        want = [sum({1 << index[H.mask(p[v] for v in H.bits(s))] for p in group})
+                for s in sets]
+        assert V._orbit_masks(sets, gens) == want, (n, g.edges(), setwise)
