@@ -565,21 +565,102 @@ def automorphism_generators(g: Graph, setwise: int = 0) -> list[tuple]:
     mask `setwise`, of its setwise stabiliser: the automorphisms that map
     that vertex set onto itself.
 
-    Each generator is a tuple perm with v -> perm[v].  The search refines the
-    partition [setwise, rest], leaving out an empty cell, to an equitable
-    partition, follows one first path of individualisations down to a
-    discrete leaf, and then, from the deepest level up, tries every
-    vertex of that level's target cell that is not yet in the orbit of the
-    first path's choice, keeping a leaf that maps onto the first leaf.  When
-    every level is done, the generators span the whole group.  After
-    AUTOMORPHISM_NODE_LIMIT refinements the search stops early and returns
-    what it has found: a valid generating set of a subgroup.  Every
-    permutation returned has been checked against the adjacency rows and
-    against `setwise`.
+    Each generator is a tuple perm with v -> perm[v].  A tree gets its
+    generators from rooted codes (`_tree_generators`), which always span the
+    whole group: AUTOMORPHISM_NODE_LIMIT never applies to trees.  Every other
+    graph goes through the refinement search (`_refinement_generators`),
+    which returns a valid generating set of a subgroup when it stops at that
+    limit.  Every permutation returned has been checked against the
+    adjacency rows and against `setwise`.
     """
-    n, adj = g.n, g.adj
+    n = g.n
     if not isinstance(setwise, int) or setwise < 0 or setwise >> n:
         raise GraphError(f"setwise mask {setwise!r} is not a vertex set of a graph with n={n}")
+    gens = _tree_generators(g, setwise)
+    return _refinement_generators(g, setwise) if gens is None else gens
+
+
+def _checked(adj: tuple, setwise: int, perm: list[int]) -> bool:
+    """Is perm an automorphism that maps `setwise` onto itself?"""
+    fixed = all(setwise >> perm[u] & 1 for u in iter_bits(setwise))
+    return fixed and _is_automorphism(adj, perm)
+
+
+def _tree_generators(g: Graph, setwise: int) -> Optional[list[tuple]]:
+    """Automorphism generators of the tree g fixing `setwise` setwise, or
+    None when g is not a tree.
+
+    Leaves are peeled layer by layer down to the one or two centres, which
+    every automorphism maps onto themselves.  Rooted there, each vertex gets
+    the int that `codes` gives to (is it in `setwise`, sorted codes of its
+    children), so two subtrees have equal codes iff some colour-preserving
+    isomorphism maps one onto the other, and pairing their children in code
+    order builds it (Aho, Hopcroft, Ullman, 1974).  An automorphism fixing
+    the centres permutes each vertex's children within equal codes, so the
+    swaps of adjacent equal-coded siblings, below every vertex, generate
+    that group; the swap of two equal-coded centres adds the rest.
+    """
+    n, adj = g.n, g.adj
+    if g.edge_count() != n - 1:
+        return None
+    deg = g.degrees()
+    kids = [[] for _ in range(n)]
+    peeled = []  # children before parents
+    layer = [v for v in range(n) if deg[v] <= 1]
+    remaining = n
+    while remaining > 2:
+        if not layer:
+            return None  # the rest holds a cycle
+        nxt = []
+        for v in layer:
+            deg[v] = -1
+            remaining -= 1
+            peeled.append(v)
+            for w in iter_bits(adj[v]):
+                if deg[w] > 0:
+                    kids[w].append(v)
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    centres = [v for v in range(n) if deg[v] >= 0]
+    codes = {}
+    code = [0] * n
+    for v in peeled + centres:
+        kids[v].sort(key=code.__getitem__)
+        key = (setwise >> v & 1, tuple(code[c] for c in kids[v]))
+        code[v] = codes.setdefault(key, len(codes))
+
+    def swap(a: int, b: int) -> list[int]:
+        perm = list(range(n))
+        todo = [(a, b)]
+        while todo:
+            x, y = todo.pop()
+            perm[x], perm[y] = y, x
+            todo.extend(zip(kids[x], kids[y]))
+        return perm
+
+    pairs = [(a, b) for v in peeled + centres for a, b in zip(kids[v], kids[v][1:])
+             if code[a] == code[b]]
+    if len(centres) == 2 and code[centres[0]] == code[centres[1]]:
+        pairs.append(tuple(centres))
+    perms = [swap(a, b) for a, b in pairs]
+    return [tuple(perm) for perm in perms if _checked(adj, setwise, perm)]
+
+
+def _refinement_generators(g: Graph, setwise: int) -> list[tuple]:
+    """Automorphism generators of any graph by individualisation-refinement.
+
+    The search refines the partition [setwise, rest], leaving out an empty
+    cell, to an equitable partition, follows one first path of
+    individualisations down to a discrete leaf, and then, from the deepest
+    level up, tries every vertex of that level's target cell that is not yet
+    in the orbit of the first path's choice, keeping a leaf that maps onto
+    the first leaf.  When every level is done, the generators span the whole
+    group.  After AUTOMORPHISM_NODE_LIMIT refinements the search stops early
+    and returns what it has found.
+    """
+    n, adj = g.n, g.adj
     start = [c for c in (setwise, g.vertex_mask ^ setwise) if c]
     path = [_refine(adj, start, start)]
     targets = []  # (cell index, first-path choice) per level
@@ -608,8 +689,7 @@ def automorphism_generators(g: Graph, setwise: int = 0) -> list[tuple]:
             perm = [0] * n
             for u, c in zip(first, p):
                 perm[u] = c.bit_length() - 1
-            fixed = all(setwise >> perm[u] & 1 for u in iter_bits(setwise))
-            return perm if fixed and _is_automorphism(adj, perm) else None
+            return perm if _checked(adj, setwise, perm) else None
         for w in iter_bits(p[targets[depth][0]]):
             q = child(p, depth, w)
             if q is not None:

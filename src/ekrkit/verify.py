@@ -22,7 +22,11 @@ map S onto itself, so that child's own exclude chain drops Stab(S)-orbits in
 the same way.  Aut(G) comes from `graphs.automorphism_generators` once per
 search; Stab(S) comes from the same routine with `setwise=S`, and only when
 the child reaches its first branching step, so a child that is pruned first
-costs no stabiliser.  Each pick itself stays the representative,
+costs no stabiliser.  On a tree that routine reads both groups off rooted
+(Aho-Hopcroft-Ullman) codes instead of running its refinement search.  A
+chain never lists every orbit: each exclude step closes only its pick under
+the chain's generators, which gives the same orbit whatever generators span
+the group.  Each pick itself stays the representative,
 so the first subtree, where the witness is usually found, is unchanged.
 Deeper nodes branch on single sets: their subproblems are invariant only
 under the stabiliser of all the sets picked so far, which would have to be
@@ -38,7 +42,7 @@ from typing import Iterable, Optional
 from .families import (FamilyQuery, _star_column, all_independent_sets,
                        enum_independent_rsets)
 from .graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, bit_list,
-                     find_root, iter_bits)
+                     iter_bits)
 
 DEFAULT_MAX_NODES = 10_000_000
 BUDGET_ENV = "EKRKIT_MAX_NODES"
@@ -121,49 +125,59 @@ def is_intersecting(family: Iterable[int]) -> bool:
 
 # -- core branch and bound ----------------------------------------------
 
-def _containment(family: list[int]) -> dict[int, int]:
-    """{v: index mask of the members containing v} over the family's vertices."""
-    contains = {}
+def _containment(family: list[int], n: int) -> list[int]:
+    """Index mask of the members containing v, for each vertex v < n."""
+    contains = [0] * n
     for i, s in enumerate(family):
         bit = 1 << i
-        for v in iter_bits(s):
-            contains[v] = contains.get(v, 0) | bit
+        while s:
+            low = s & -s
+            contains[low.bit_length() - 1] |= bit
+            s ^= low
     return contains
 
 
-def _meeting(contains: dict[int, int], s: int) -> int:
+def _meeting(contains: list[int], s: int) -> int:
     """Index mask of the members sharing a vertex with s."""
     m = 0
-    for v in iter_bits(s):
-        m |= contains[v]
+    while s:
+        low = s & -s
+        m |= contains[low.bit_length() - 1]
+        s ^= low
     return m
 
 
-def _orbit_masks(sets: list[int], gens: list[tuple]) -> list[int]:
-    """Index mask of each set's orbit under the vertex permutations `gens`,
-    which must map the list of sets onto itself.  Each permutation fixes
-    the sets disjoint from its support and maps only the moved vertices of
-    the others."""
-    index = {s: i for i, s in enumerate(sets)}
-    root = list(range(len(sets)))
-    for perm in gens:
-        support = sum(1 << x for x, y in enumerate(perm) if x != y)
-        for i, s in enumerate(sets):
-            moved = s & support
+def _orbit(s: int, gens: list[tuple], index: dict[int, int]) -> int:
+    """Index mask of the orbit of set s under the vertex permutations `gens`,
+    which must map the sets of `index` ({set: index}) onto themselves: the
+    closure of s under the generators.  Each generator is (support, perm)
+    and maps only the moved vertices of a set."""
+    orbit = 1 << index[s]
+    todo = [s]
+    while todo:
+        x = todo.pop()
+        for support, perm in gens:
+            moved = x & support
             if moved:
-                t = s ^ moved
+                y = x ^ moved
                 for v in iter_bits(moved):
-                    t |= 1 << perm[v]
-                root[find_root(root, i)] = find_root(root, index[t])
-    masks = [0] * len(sets)
-    for i in range(len(sets)):
-        masks[find_root(root, i)] |= 1 << i
-    return [masks[find_root(root, i)] for i in range(len(sets))]
+                    y |= 1 << perm[v]
+                bit = 1 << index[y]
+                if not orbit & bit:
+                    orbit |= bit
+                    todo.append(y)
+    return orbit
 
 
-def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph):
+def _moving(gens: list[tuple]) -> list[tuple]:
+    """(support, perm) of each vertex permutation, support the moved vertices."""
+    return [(sum(1 << x for x, y in enumerate(perm) if x != y), perm) for perm in gens]
+
+
+def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
+                         floor: int, g: Graph):
     """Largest pairwise-intersecting subfamily with empty total intersection
-    and size > floor.
+    and size > floor; `meets` is `_containment(cands, g.n)`.
 
     The root branches on orbits of candidates under Aut(g), which must map
     the candidate family onto itself, and the include child of each root
@@ -178,11 +192,10 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
     full = (1 << k) - 1
     # candidate order: most intersections first (= fewest disjoint partners);
     # every candidate is nonempty, so it meets itself and k - meets others
-    meets = _containment(cands)
     order = sorted(range(k), key=lambda i: (k - _meeting(meets, cands[i]).bit_count(),
                                             cands[i]))
     sets = [cands[i] for i in order]
-    contains = _containment(sets)
+    contains = _containment(sets, g.n)
     dnb = [full & ~_meeting(contains, s) for s in sets]
 
     best = floor
@@ -190,10 +203,11 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
     nodes = 0
     exceeded = False
     gens = automorphism_generators(g)
-    # orbit masks of each exclude chain that branches on orbits, by chain:
-    # -1 is the root's, i >= 0 the one below root pick i, filled in when
-    # that chain first branches
-    orbits = {-1: _orbit_masks(sets, gens)} if gens else {}
+    # generators of each exclude chain that branches on orbits, by chain: -1
+    # is the root's, i >= 0 the one below root pick i, filled in when that
+    # chain first branches; each exclude step drops the orbit of its pick
+    groups = {-1: _moving(gens)}
+    index = {s: i for i, s in enumerate(sets)} if gens else None
 
     # depth first: each node pushes its exclude continuation (the state after
     # absorbing, minus the pick, or on an orbital chain minus the pick's whole
@@ -249,10 +263,9 @@ def _search_empty_common(cands: list[int], max_nodes: int, floor: int, g: Graph)
         if chain is None:
             drop = pb
         else:
-            if chain not in orbits:  # the stabiliser of root pick `chain`
-                stab = automorphism_generators(g, setwise=sets[chain])
-                orbits[chain] = _orbit_masks(sets, stab) if stab else None
-            drop = orbits[chain][pick] if orbits[chain] else pb
+            if chain not in groups:  # the stabiliser of root pick `chain`
+                groups[chain] = _moving(automorphism_generators(g, setwise=sets[chain]))
+            drop = _orbit(sets[pick], groups[chain], index)
         stack.append((allowed & ~drop, common, size, sel, chain))
         stack.append((allowed & ~(dnb[pick] | pb), common & sets[pick], size + 1,
                       sel | pb, pick if chain == -1 else None))
@@ -274,19 +287,6 @@ def _candidates(g: Graph, r: Optional[int]) -> list[int]:
     return cands
 
 
-def _star_tally(g: Graph, cands: list[int]) -> tuple[int, int]:
-    count = [0] * g.n
-    for s in cands:
-        for v in iter_bits(s):
-            count[v] += 1
-    top = max(count)
-    return count.index(top), top
-
-
-def _star_family(cands: list[int], v: int) -> tuple:
-    return tuple(s for s in cands if s >> v & 1)
-
-
 def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: Optional[int],
             budget: Optional[SearchBudget]) -> EkrReport:
     """The one report builder: a search for an empty-common family above a floor.
@@ -300,9 +300,13 @@ def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: Optional
     from `found` against the best star either way.
     """
     budget = budget or default_budget()
-    sv, ss = _star_tally(g, cands)
+    meets = _containment(cands, g.n)
+    stars = [m.bit_count() for m in meets]
+    ss = max(stars)
+    sv = stars.index(ss)
     floor = 0 if floor_offset is None else ss - floor_offset
-    found, witness, nodes, exceeded = _search_empty_common(cands, budget.max_nodes, floor, g)
+    found, witness, nodes, exceeded = _search_empty_common(cands, meets, budget.max_nodes,
+                                                           floor, g)
     if exceeded:
         verdict = BUDGET_EXCEEDED
     elif found > ss:
@@ -313,7 +317,7 @@ def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: Optional
         verdict = STRICTLY_EKR
     if floor_offset is not None:  # the best star is a family too
         found = max(found, ss)
-        witness = witness or _star_family(cands, sv)
+        witness = witness or tuple(cands[i] for i in iter_bits(meets[sv]))
     return EkrReport(r, verdict, sv, ss, found, witness or (), nodes)
 
 
@@ -373,11 +377,19 @@ def _star_sizes(t: Graph, r: int) -> tuple:
     return sizes
 
 
+_NEED_TREE = "leaf-maximum verdicts need a tree"
+
+
 def is_r_hk(t: Graph, r: int) -> HkReport:
     """Does some leaf of the tree maximise s_r?"""
-    if not t.is_tree():
-        raise GraphError("leaf-maximum verdicts need a tree")
-    sizes = _star_sizes(t, r)
+    if t.edge_count() != t.n - 1:
+        raise GraphError(_NEED_TREE)
+    try:
+        sizes = _star_sizes(t, r)  # with n - 1 edges, the DP's forest check means a tree
+    except GraphError:
+        if not t.is_tree():
+            raise GraphError(_NEED_TREE) from None
+        raise
     top = max(sizes)
     leaves = [v for v in range(t.n) if t.degree(v) <= 1]
     holds = any(sizes[v] == top for v in leaves)

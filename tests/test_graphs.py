@@ -32,6 +32,7 @@ from ekrkit.graphs import (
     read_graph6_lines,
     spider_order,
 )
+from ekrkit.treegen import free_trees
 
 import helpers as H
 
@@ -462,3 +463,44 @@ def test_automorphism_search_stops_early_with_a_valid_subgroup(monkeypatch):
         orders.append(len(H.perm_closure(gens, g.n)))
     assert orders[0] == 1 and orders[2] < 1296
     assert orders == sorted(orders)
+
+
+def _vertex_orbits(gens, n) -> set:
+    root = list(range(n))
+    for perm in gens:
+        for x, y in enumerate(perm):
+            root[H.uf_find(root, x)] = H.uf_find(root, y)
+    return {frozenset(v for v in range(n) if H.uf_find(root, v) == H.uf_find(root, u))
+            for u in range(n)}
+
+
+def test_tree_generators_match_the_refinement_search_on_free_trees():
+    rng = random.Random(1515)
+    for n in range(1, 13):
+        for t in free_trees(n):
+            for s in [0] + [rng.randrange(1 << n) for _ in range(3)]:
+                tree = graphs._tree_generators(t, s)
+                refined = graphs._refinement_generators(t, s)
+                assert automorphism_generators(t, setwise=s) == tree
+                assert _vertex_orbits(tree, n) == _vertex_orbits(refined, n), (t.edges(), s)
+                if n <= 8:
+                    assert H.perm_closure(tree, n) == H.perm_closure(refined, n), (t.edges(), s)
+
+
+def test_tree_generators_leave_non_trees_to_the_refinement_search():
+    # n - 1 edges, but a triangle and a separate edge
+    for edges in ([(0, 1), (1, 2), (2, 0), (3, 4)], [(0, 1), (1, 2), (2, 3), (3, 0)]):
+        g = Graph(5, edges)
+        assert graphs._tree_generators(g, 0) is None
+        assert automorphism_generators(g) == graphs._refinement_generators(g, 0)
+    assert graphs._tree_generators(generate("cycle:5"), 0) is None
+    assert graphs._tree_generators(generate("empty:2"), 0) is None
+
+
+def test_tree_generators_ignore_the_refinement_node_limit(monkeypatch):
+    # 127! automorphisms: the centre is fixed and the leaves form one orbit
+    g = generate("star:127")
+    monkeypatch.setattr(graphs, "AUTOMORPHISM_NODE_LIMIT", 0)
+    gens = automorphism_generators(g)
+    assert all(graphs._is_automorphism(g.adj, p) for p in gens)
+    assert _vertex_orbits(gens, g.n) == {frozenset([0]), frozenset(range(1, 128))}

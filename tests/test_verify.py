@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 from math import comb
@@ -11,6 +13,7 @@ from ekrkit.families import (TREE_DP, FamilyQuery, all_independent_sets,
                              enum_independent_rsets, star_size)
 from ekrkit.graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, generate,
                            max_independent_set_size)
+from ekrkit.treegen import free_trees
 
 import helpers as H
 
@@ -246,6 +249,13 @@ def test_hk_on_trees():
     assert spider.star_sizes[spider.best_vertex] == max(spider.star_sizes)
     with pytest.raises(GraphError):
         V.is_r_hk(generate("cycle:5"), 2)
+    # n - 1 edges, disconnected, with a cycle: the tree DP's forest check
+    # rejects it, with the same message for any r
+    for r in (1, 2, 0, 99):
+        with pytest.raises(GraphError, match="leaf-maximum verdicts need a tree"):
+            V.is_r_hk(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), r)
+    with pytest.raises(GraphError, match="leaf-maximum verdicts need a tree"):
+        V.is_r_hk(Graph(4, [(0, 1), (2, 3)]), 1)
     with pytest.raises(GraphError):
         V.is_r_hk(generate("path:4"), 3)  # r exceeds independence number
 
@@ -369,6 +379,22 @@ def test_orbit_masks_match_permutation_closure():
         sets = all_independent_sets(g)  # mapped onto itself by every automorphism
         index = {s: i for i, s in enumerate(sets)}
         group = H.perm_closure(gens, n)
-        want = [sum({1 << index[H.mask(p[v] for v in H.bits(s))] for p in group})
-                for s in sets]
-        assert V._orbit_masks(sets, gens) == want, (n, g.edges(), setwise)
+        for s in sets:
+            want = sum({1 << index[H.mask(p[v] for v in H.bits(s))] for p in group})
+            assert V._orbit(s, V._moving(gens), index) == want, (n, g.edges(), setwise, s)
+
+
+def test_search_outputs_are_pinned():
+    # every free tree with n <= 11 at r <= min(3, alpha), and two spiders at
+    # r = 4: the JSON of all three searches, nodes_explored included, so a
+    # change to the symmetry set-up cannot show only as changed node counts
+    cases = [(t, r) for n in range(1, 12) for t in free_trees(n)
+             for r in range(1, min(3, max_independent_set_size(t)) + 1)]
+    cases += [(generate("spider:4,4,4"), 4), (generate("spider:3,3,3,3"), 4)]
+    digest = hashlib.sha256()
+    for g, r in cases:
+        for fn in SEARCHES:
+            digest.update(json.dumps(fn(g, r).to_json_dict(), sort_keys=True).encode() + b"\n")
+    assert len(cases) == 1304
+    assert digest.hexdigest() == (
+        "f76535c8805514bc3e429c66376c099ee2fe8def9b724bfb442d21cdf650342f")
