@@ -2,9 +2,13 @@
 
 All binomials use the total convention: C(a, b) = 0 whenever a < 0, b < 0
 or b > a, and C(a, 0) = 1 for a >= 0.  Rational comparisons are exact
-(fractions.Fraction); transcendental ones run at >= 80 bits via mpmath with
-a conservative 1e-9 margin, so borderline hypotheses report not-applicable
-rather than applicable.
+(fractions.Fraction); transcendental ones run at PRECISION_BITS = 120 bits
+via mpmath with a conservative 1e-9 margin, so borderline hypotheses report
+not-applicable rather than applicable.  The T5/T6 yes/no answers that rmax
+and the grids need are decided in double precision first; only those within
+1e-7 of the threshold, or outside the float path's stated domain, are
+decided again at 120 bits (see _applies).  hypothesis() always runs at 120
+bits, as it also reports the threshold.
 """
 from __future__ import annotations
 
@@ -70,11 +74,6 @@ def frankl_bound(n: int, r: int) -> int:
     return binom(n - 3, r - 2)
 
 
-def in_half_range(n: int, r: int) -> bool:
-    """Range flag for ekr_bound / hm_bound; out-of-range is flagged, not rejected."""
-    return 2 * r <= n
-
-
 def claim_star_lower(n: int, d: int, r: int) -> Fraction:
     """Greedy star lower bound (1/(r-1)!) * prod_{i=1..r-1} (n - i*d).
 
@@ -105,22 +104,17 @@ def split_star_lower(n: int, s: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """Bag of numeric parameters for threshold and estimate checks."""
+    """Bag of numeric parameters for the threshold theorems."""
 
     n: Optional[int] = None
     r: Optional[int] = None
     d: Optional[int] = None
     c_density: Optional[Fraction] = None
     s: Optional[int] = None
-    k: Optional[int] = None
-    x: Optional[Fraction] = None
-    y: Optional[Fraction] = None
 
     def __post_init__(self):
-        for name in ("c_density", "x", "y"):
-            val = getattr(self, name)
-            if val is not None and not isinstance(val, Fraction):
-                object.__setattr__(self, name, Fraction(str(val)))
+        if self.c_density is not None and not isinstance(self.c_density, Fraction):
+            object.__setattr__(self, "c_density", Fraction(str(self.c_density)))
 
 
 @dataclass(frozen=True)
@@ -214,33 +208,55 @@ def big_star_lower(n: int, r: int, d: int, k: int):
     return value, hyp_ok
 
 
-def estimate_checks(q: BoundQuery) -> list[IneqResult]:
-    """Run every estimate the query's populated fields support."""
-    out = []
-    if q.x is not None and q.k is not None:
-        out.append(check_exp_linear(q.x, q.k))
-    if q.y is not None and q.k is not None:
-        out.append(check_one_minus_exp(q.y, q.k))
-    if q.r is not None and q.d is not None and q.n is not None:
-        out.append(check_degree_product(q.r, q.d, q.n))
-        if q.k is not None:
-            value, hyp_ok = big_star_lower(q.n, q.r, q.d, q.k)
-            out.append(IneqResult("big-star-lower", f"n={q.n};r={q.r};d={q.d};k={q.k}",
-                                  value, None, None, hyp_ok))
-    if not out:
-        raise GraphError("query populates no estimate; set (x,k), (y,k) or (r,d,n)")
-    return out
-
-
 # -- theorem applicability ----------------------------------------------
 
-def _r_below_threshold(r: int, n: int, c: Fraction) -> tuple[bool, str]:
-    """r <= sqrt(n ln c) - (ln c)/2 less MARGIN, and the threshold as a string."""
+def _r_below_threshold(r: int, n: int, c: Fraction) -> tuple:
+    """Whether r <= sqrt(n ln c) - (ln c)/2 less MARGIN, and that threshold (an mpf),
+    both at PRECISION_BITS."""
     mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
         ln_c = mp.log(_mpf_of(c))
         t = mp.sqrt(n * ln_c) - ln_c / 2
-        return bool(mp.mpf(r) <= t - _mpf_of(MARGIN)), mp.nstr(t, 17)
+        return bool(mp.mpf(r) <= t - _mpf_of(MARGIN)), t
+
+
+# _applies decides in floats for n <= _FLOAT_N_MAX and r <= _FLOAT_R_MAX, unless
+# the float gap to the threshold is within _FLOAT_BAND
+_FLOAT_N_MAX = 10 ** 9
+_FLOAT_R_MAX = 10 ** 4
+_FLOAT_BAND = 1e-7
+_MARGIN_FLOAT = float(MARGIN)
+
+
+def _applies(theorem: str, n: int, r: int, s: int = 0) -> bool:
+    """hypothesis(theorem, BoundQuery(n=n, r=r, s=s)).applicable for T5 (s = 0)
+    and T6, on queries that _check_query accepts, without building the query
+    or its record.
+
+    With x = c - 1 = (r - 2s)/r, the answer is g > 0, where
+    g = sqrt(n ln c) - (ln c)/2 - MARGIN - r.  For n <= _FLOAT_N_MAX and
+    r <= _FLOAT_R_MAX, g computed in floats is within 2e-11 of the real g:
+    - x is one correctly rounded division (relative error u = 2**-53); log1p
+      turns that into at most u relatively, as ln(1 + x) >= x/(1 + x), and adds
+      at most 1 ulp (2u) of its own, so ln c is within 3u relatively;
+    - n and r are exact floats; n ln c adds u, and the square root halves the
+      error and adds u, so sqrt(n ln c) <= sqrt(1e9 ln 2) < 26,400 is within 4u
+      relatively, under 1.2e-11;
+    - (ln c)/2 is within 3e-16 and float(MARGIN) within 1e-24, and each of the
+      three subtractions rounds a value under 2**15 by at most half an ulp,
+      1.9e-12.
+    So |g| > _FLOAT_BAND = 1e-7 fixes the sign with three orders of magnitude to
+    spare; every other query is decided by _r_below_threshold, as in hypothesis.
+    """
+    if theorem == "T6" and not 0 < 2 * s < r:
+        return False
+    # T5 is the s = 0 case of c = 2 - 2s/r
+    if n <= _FLOAT_N_MAX and r <= _FLOAT_R_MAX:
+        ln_c = math.log1p((r - 2 * s) / r)
+        gap = math.sqrt(n * ln_c) - ln_c / 2 - _MARGIN_FLOAT - r
+        if abs(gap) > _FLOAT_BAND:
+            return gap > 0
+    return _r_below_threshold(r, n, 2 - Fraction(2 * s, r))[0]
 
 
 def _check_query(theorem: str, q: BoundQuery, with_r: bool) -> None:
@@ -278,8 +294,8 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
                              (("c >= e/36", c_ok), ("n > 18*c*r^3", n_ok)))
     if theorem == "T5":
         ok, t = _r_below_threshold(q.r, q.n, Fraction(2))
-        return Applicability(theorem, ok,
-                             (("r <= sqrt(n ln 2) - ln(2)/2", ok),), threshold_r=t)
+        return Applicability(theorem, ok, (("r <= sqrt(n ln 2) - ln(2)/2", ok),),
+                             threshold_r=_mpmath().nstr(t, 17))
     if theorem == "T6":
         s_ok = 0 < 2 * q.s < q.r
         if not s_ok:
@@ -289,7 +305,7 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
         return Applicability(theorem, ok,
                              (("0 < s < r/2", True),
                               ("r <= sqrt(n ln c) - ln(c)/2, c = 2 - 2s/r", ok)),
-                             threshold_r=t)
+                             threshold_r=_mpmath().nstr(t, 17))
     ok = 72 * q.r < q.n  # T8
     return Applicability(theorem, ok, (("r < n/72", ok),))
 
@@ -304,12 +320,13 @@ def rmax(theorem: str, q: BoundQuery) -> list[int]:
     if theorem == "T6":
         # c < 2 keeps every admissible r under the T5 threshold, so cap there
         cap = int(math.isqrt(int(q.n * math.log(2)))) + 3
-        return [r for r in range(1, cap + 1) if hypothesis(theorem, replace(q, r=r)).applicable]
+        return [r for r in range(1, cap + 1) if _applies(theorem, q.n, r, q.s)]
     # T2-avg and T5 apply at every r up to a threshold
-    out = []
-    while hypothesis(theorem, replace(q, r=len(out) + 1)).applicable:
-        out.append(len(out) + 1)
-    return out
+    r = 1
+    while (_applies(theorem, q.n, r) if theorem == "T5"
+           else hypothesis(theorem, replace(q, r=r)).applicable):
+        r += 1
+    return list(range(1, r))
 
 
 # -- binomial comparison checks ----------------------------------------
@@ -396,6 +413,9 @@ def peel_bound_check(report: PeelReport, c: Fraction, r: int) -> dict:
 
 
 # -- grids ---------------------------------------------------------------
+#
+# The suites yield each row as a plain (theorem_id, parameters, lhs, rhs, holds)
+# tuple, which the writers format directly; only run_grid wraps them as GridRow.
 
 class GridRow(NamedTuple):
     theorem_id: str
@@ -405,8 +425,8 @@ class GridRow(NamedTuple):
     holds: bool
 
 
-def _row(res: IneqResult, fmt=str) -> GridRow:
-    return GridRow(res.name, res.params, fmt(res.lhs), fmt(res.rhs), bool(res.holds))
+def _row(res: IneqResult, fmt=str) -> tuple:
+    return res.name, res.params, fmt(res.lhs), fmt(res.rhs), bool(res.holds)
 
 
 def _binom_walk(m: int, k: int) -> Iterator[int]:
@@ -417,6 +437,15 @@ def _binom_walk(m: int, k: int) -> Iterator[int]:
         m += 1
         # C(m, k) = C(m-1, k) * m / (m-k), exact; restart from binom while still 0
         c = c * m // (m - k) if c else binom(m, k)
+
+
+def _lagged_walks(m: int, k: int, *leads: int) -> tuple[Iterator[int], ...]:
+    """One _binom_walk from C(m, k), read by len(leads) iterators, the j-th
+    starting leads[j] steps ahead; the shared buffer holds max(leads) values."""
+    walks = itertools.tee(_binom_walk(m, k), len(leads))
+    for walk, lead in zip(walks, leads):
+        next(itertools.islice(walk, lead, lead), None)
+    return walks
 
 
 def _degree_product_rows(r_lo=2, r_hi=8, d_lo=2, d_hi=8, span=200):
@@ -443,41 +472,37 @@ def _min_admissible_n(applicable, n_max: int):
 
 def _binoms_rows(n_max=5000):
     # binoms_ineq_check over {n <= n_max, r in rmax(T5, n)}, grouped by r so the
-    # threshold is bisected once per r and the binomials are walked along n
+    # threshold is bisected once per r and C(n-1, r-1) is walked along n; the
+    # rhs's C(n-r-1, r-1) is the same walk r steps back
     r = 1
     while True:
-        n0 = _min_admissible_n(
-            lambda n: hypothesis("T5", BoundQuery(n=n, r=r)).applicable, n_max)
+        n0 = _min_admissible_n(lambda n: _applies("T5", n, r), n_max)
         if n0 is None:
             return
-        for n, lhs, half in zip(range(n0, n_max + 1), _binom_walk(n0 - 1, r - 1),
-                                _binom_walk(n0 - r - 1, r - 1)):
-            yield GridRow("binom-doubling", f"n={n};r={r}", str(lhs), str(2 * half),
-                          lhs < 2 * half)
+        lhs_walk, half_walk = _lagged_walks(n0 - r - 1, r - 1, r, 0)
+        for n, lhs, half in zip(range(n0, n_max + 1), lhs_walk, half_walk):
+            yield "binom-doubling", f"n={n};r={r}", str(lhs), str(2 * half), lhs < 2 * half
         r += 1
 
 
 def _binoms2_rows(n_max=5000, s_lo=2, s_hi=5, r_cap=16):
-    # binoms2_ineq_check on the T6 range, walked along n like _binoms_rows
+    # binoms2_ineq_check on the T6 range, walked along n like _binoms_rows:
+    # C(n-r-1, r-1) and C(n-r-s, r-1) are C(n-1, r-1) r and r+s-1 steps back
     for s in range(s_lo, s_hi + 1):
         for r in range(2 * s + 1, r_cap + 1):
-            n0 = _min_admissible_n(
-                lambda n: hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable, n_max)
+            n0 = _min_admissible_n(lambda n: _applies("T6", n, r, s), n_max)
             if n0 is None:
                 continue
-            for n, lhs, a, b in zip(range(n0, n_max + 1), _binom_walk(n0 - 1, r - 1),
-                                    _binom_walk(n0 - r - 1, r - 1),
-                                    _binom_walk(n0 - r - s, r - 1)):
-                yield GridRow("binom-split", f"n={n};r={r};s={s}", str(lhs), str(a + b),
-                              lhs <= a + b)
+            walks = _lagged_walks(n0 - r - s, r - 1, r + s - 1, s - 1, 0)
+            for n, lhs, a, b in zip(range(n0, n_max + 1), *walks):
+                yield "binom-split", f"n={n};r={r};s={s}", str(lhs), str(a + b), lhs <= a + b
 
 
 def _hm_identity_rows(n_max=60):
     for n in range(2, n_max + 1):
         for r in range(1, n):
-            yield GridRow("hm-identity", f"n={n};r={r}",
-                          str(hm_bound(n, r)), str(hm_bound_sum_form(n, r)),
-                          hm_identity_check(n, r))
+            yield ("hm-identity", f"n={n};r={r}", str(hm_bound(n, r)),
+                   str(hm_bound_sum_form(n, r)), hm_identity_check(n, r))
 
 
 def _estimates_rows(k_max=10, samples=100):
@@ -504,7 +529,7 @@ _SUITES = {
 GRID_SUITES = tuple(_SUITES)
 
 
-def _suite_rows(suite: str, **kw) -> Iterator[GridRow]:
+def _suite_rows(suite: str, **kw) -> Iterator[tuple]:
     if suite == "all":
         if kw:
             raise GraphError(f"suite 'all' takes no parameters, got {', '.join(sorted(kw))}")
@@ -516,23 +541,19 @@ def _suite_rows(suite: str, **kw) -> Iterator[GridRow]:
 
 def run_grid(suite: str, **kw) -> list[GridRow]:
     """Every row of one suite, or of all of them in GRID_SUITES order for "all"."""
-    return list(_suite_rows(suite, **kw))
+    return list(map(GridRow._make, _suite_rows(suite, **kw)))
 
 
 _CSV_HEADER = "theorem-id,parameters,lhs,rhs,holds\n"
 
 
-def _csv_line(row: GridRow) -> str:
-    holds = "true" if row.holds else "false"
-    return f"{row.theorem_id},{row.parameters},{row.lhs},{row.rhs},{holds}\n"
-
-
 def write_grid_csv(suite: str, stream) -> None:
     """Write the suite's CSV to stream as its rows are made, holding neither rows nor text."""
     rows = _suite_rows(suite)
-    stream.write(_CSV_HEADER)
-    for row in rows:
-        stream.write(_csv_line(row))
+    write = stream.write
+    write(_CSV_HEADER)
+    for theorem_id, parameters, lhs, rhs, holds in rows:
+        write(f"{theorem_id},{parameters},{lhs},{rhs},{'true' if holds else 'false'}\n")
 
 
 _JSON_ROW = ('    {{\n      "holds": {},\n      "lhs": {},\n      "parameters": {},\n'
@@ -544,12 +565,11 @@ def write_grid_json(suite: str, stream) -> None:
     and a newline to stream without holding the rows: one pass over the suite
     finds all_hold, which sorts first, and a second pass writes each row."""
     dumps = json.dumps
-    all_hold = all(row.holds for row in _suite_rows(suite))
+    all_hold = all(row[4] for row in _suite_rows(suite))  # the holds field
     stream.write(f'{{\n  "all_hold": {dumps(all_hold)},\n  "rows": [')
     sep = "\n"
-    for row in _suite_rows(suite):
-        stream.write(sep + _JSON_ROW.format("true" if row.holds else "false", dumps(row.lhs),
-                                            dumps(row.parameters), dumps(row.rhs),
-                                            dumps(row.theorem_id)))
+    for theorem_id, parameters, lhs, rhs, holds in _suite_rows(suite):
+        stream.write(sep + _JSON_ROW.format("true" if holds else "false", dumps(lhs),
+                                            dumps(parameters), dumps(rhs), dumps(theorem_id)))
         sep = ",\n"
     stream.write(f'\n  ],\n  "suite": {dumps(suite)}\n}}\n')

@@ -732,34 +732,27 @@ def max_independent_set_size(g: Graph) -> int:
     """Exact alpha by branch and bound (take/skip a max-degree vertex)."""
     adj = g.adj
     best = 0
-
-    def rec(allowed: int, size: int):
-        nonlocal best
-        while True:
-            if size + allowed.bit_count() <= best:
-                return
+    # depth first: each node goes on with its take child at once and leaves
+    # its skip child on the stack, so the take subtree is searched first
+    stack = [(g.vertex_mask, 0)]
+    while stack:
+        allowed, size = stack.pop()
+        while size + allowed.bit_count() > best:
             # absorb isolated vertices, find a branching vertex
             pick, pick_deg = -1, -1
-            absorbed = False
             for v in iter_bits(allowed):
                 d = (adj[v] & allowed).bit_count()
                 if d == 0:
                     allowed ^= 1 << v
                     size += 1
-                    absorbed = True
                 elif d > pick_deg:
                     pick, pick_deg = v, d
-            if absorbed:
-                if size + allowed.bit_count() <= best:
-                    return
             if pick < 0:
-                if size > best:
-                    best = size
-                return
-            rec(allowed & ~(adj[pick] | (1 << pick)), size + 1)
-            allowed ^= 1 << pick  # skip pick and loop
-
-    rec(g.vertex_mask, 0)
+                best = max(best, size)
+                break
+            stack.append((allowed ^ 1 << pick, size))
+            allowed &= ~(adj[pick] | (1 << pick))
+            size += 1
     return best
 
 
@@ -770,24 +763,21 @@ def min_maximal_independent_set_size(g: Graph) -> int:
     full = g.vertex_mask
     best = g.n
     cover = g.max_degree() + 1  # one pick dominates at most this many vertices
-
-    def rec(chosen: int, dominated: int, size: int):
-        nonlocal best
+    stack = [(0, 0, 0)]  # (chosen, dominated, size), depth first
+    while stack:
+        chosen, dominated, size = stack.pop()
         und = full & ~dominated
         if not und:
-            if size < best:
-                best = size
-            return
+            best = min(best, size)
+            continue
         # each further pick dominates at most `cover` new vertices
         if size + (und.bit_count() + cover - 1) // cover >= best:
-            return
+            continue
         v = (und & -und).bit_length() - 1
-        for u in [v] + bit_list(adj[v]):
-            if adj[u] & chosen:
-                continue  # would break independence
-            rec(chosen | 1 << u, dominated | 1 << u | adj[u], size + 1)
-
-    rec(0, 0, 0)
+        # pushed in reverse so that v, then its neighbours in order, are tried first
+        for u in reversed([v] + bit_list(adj[v])):
+            if not adj[u] & chosen:  # else u would break independence
+                stack.append((chosen | 1 << u, dominated | 1 << u | adj[u], size + 1))
     return best
 
 

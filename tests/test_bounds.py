@@ -1,13 +1,19 @@
+import functools
 import io
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ekrkit
 import ekrkit.bounds as B
 from ekrkit.bounds import BoundQuery
 from ekrkit.graphs import Graph, GraphError, generate
@@ -32,7 +38,6 @@ def test_star_and_nonstar_bounds():
     assert B.hm_bound(9, 4) == comb(8, 3) - comb(4, 3) + 1 == 53
     assert B.frankl_bound(146, 2) == comb(143, 0) == 1
     assert B.frankl_bound(150, 3) == comb(147, 1) == 147
-    assert B.in_half_range(8, 4) and not B.in_half_range(8, 5)
 
 
 def test_hm_identity_small_exhaustive():
@@ -61,10 +66,9 @@ def test_leaf_star_lower_bounds():
 
 
 def test_bound_query_normalizes_to_fractions():
-    q = BoundQuery(n=10, c_density=0.5, x=0.1, y=2)
-    assert q.c_density == Fraction(1, 2)
-    assert q.x == Fraction(1, 10)
-    assert q.y == Fraction(2)
+    assert BoundQuery(n=10, c_density=0.5).c_density == Fraction(1, 2)
+    assert BoundQuery(c_density=0.1).c_density == Fraction(1, 10)
+    assert BoundQuery(c_density=2).c_density == Fraction(2)
 
 
 # -- pointwise estimates -----------------------------------------------------
@@ -119,18 +123,6 @@ def test_big_star_lower_desk_instance():
     assert not bad
     with pytest.raises(GraphError):
         B.big_star_lower(10, 0, 2, 1)
-
-
-def test_estimate_checks_dispatch():
-    out = B.estimate_checks(BoundQuery(x=Fraction(1, 10), k=2))
-    assert [r.name for r in out] == ["exp-linear"]
-    out = B.estimate_checks(BoundQuery(y=Fraction(1, 10), k=2))
-    assert [r.name for r in out] == ["one-minus-exp"]
-    out = B.estimate_checks(BoundQuery(n=100, r=2, d=2, k=1))
-    assert [r.name for r in out] == ["degree-product", "big-star-lower"]
-    assert out[1].holds is None  # a bound value, not an inequality
-    with pytest.raises(GraphError):
-        B.estimate_checks(BoundQuery(n=5))
 
 
 # -- theorem applicability -----------------------------------------------------
@@ -232,6 +224,52 @@ def test_rmax_matches_hypothesis(theorem, kw, r_hi):
     for r in range(1, r_hi + 1):
         expect = B.hypothesis(theorem, BoundQuery(r=r, **kw)).applicable
         assert (r in admissible) == expect, (theorem, r)
+
+
+def test_applies_agrees_with_the_120_bit_path():
+    mp = B._mpmath()
+    # T5: every (n, r) with n <= 5000 and r <= 60 (past the threshold at n = 5000);
+    # the 120-bit answer is r <= t - MARGIN, so one threshold per n gives every r
+    for n in range(0, 5001):
+        _, t = B._r_below_threshold(1, n, Fraction(2))
+        with mp.workprec(B.PRECISION_BITS):
+            top = int(mp.floor(t - B._mpf_of(B.MARGIN)))
+        assert [r for r in range(1, 61) if B._applies("T5", n, r)] == list(range(1, top + 1)), n
+    # T6: a stride over n, every s <= 5 and every r up to past the T5 threshold
+    for n in range(1, 5001, 37):
+        for s in range(0, 6):
+            for r in range(1, isqrt(n * 7 // 10) + 4):
+                want = B.hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable
+                assert B._applies("T6", n, r, s) == want, (n, r, s)
+
+
+def test_applies_defers_near_the_threshold_and_outside_its_domain(monkeypatch):
+    deferred = []
+    exact = B._r_below_threshold
+
+    def spy(r, n, c):
+        deferred.append((n, r))
+        return exact(r, n, c)
+
+    monkeypatch.setattr(B, "_r_below_threshold", spy)
+    n_max, r_max = B._FLOAT_N_MAX, B._FLOAT_R_MAX
+    for theorem, n, r, s, defers in [
+        # float gap to t - MARGIN within _FLOAT_BAND: +3.2e-8, +3.6e-8 and -1.6e-9
+        ("T5", 6_671_008, 2150, 0, True), ("T6", 4869, 50, 8, True),
+        ("T6", 96_836, 174, 55, True),
+        # further from the threshold, the float answer stands
+        ("T5", 6_670_008, 2150, 0, False), ("T6", 4859, 50, 8, False),
+        # edges of the float domain (at n = 1e9 the T5 threshold is near 26,327)
+        ("T5", n_max, r_max, 0, False), ("T5", n_max + 1, r_max, 0, True),
+        ("T5", n_max, r_max + 1, 0, True), ("T5", n_max, 26_327, 0, True),
+        ("T5", n_max, 26_328, 0, True), ("T6", n_max, r_max, r_max // 2 - 1, False),
+        ("T6", n_max, r_max + 1, 1, True), ("T6", n_max + 1, 3, 1, True),
+        ("T5", 0, 1, 0, False), ("T6", 0, 3, 1, False), ("T6", n_max, 4, 2, False),
+    ]:
+        deferred.clear()
+        got = B._applies(theorem, n, r, s)
+        assert deferred == ([(n, r)] if defers else []), (theorem, n, r, s)
+        assert got == B.hypothesis(theorem, BoundQuery(n=n, r=r, s=s)).applicable, (n, r, s)
 
 
 # -- binomial comparisons --------------------------------------------------------
@@ -382,6 +420,46 @@ def test_write_grid_csv_streams_the_same_text():
     with pytest.raises(GraphError):
         B.write_grid_csv("nope", out)
     assert out.getvalue() == ""
+
+
+_SMALL_SUITES = {
+    "degree-product": dict(r_lo=2, r_hi=3, d_lo=2, d_hi=3, span=5),
+    "binoms": dict(n_max=60),
+    "binoms2": dict(n_max=200),
+    "hm-identity": dict(n_max=8),
+    "estimates": dict(k_max=2, samples=3),
+}
+
+
+@pytest.mark.parametrize("suite", B.GRID_SUITES)
+def test_grid_writers_match_run_grid_rows(monkeypatch, suite):
+    # the writers take no parameters, so shrink the suite where they look it up
+    monkeypatch.setitem(B._SUITES, suite, functools.partial(B._SUITES[suite],
+                                                            **_SMALL_SUITES[suite]))
+    rows = B.run_grid(suite)
+    assert rows and all(type(row) is B.GridRow for row in rows)
+    out = io.StringIO()
+    B.write_grid_csv(suite, out)
+    assert out.getvalue() == "theorem-id,parameters,lhs,rhs,holds\n" + "".join(
+        f"{r.theorem_id},{r.parameters},{r.lhs},{r.rhs},{str(r.holds).lower()}\n" for r in rows)
+    out = io.StringIO()
+    B.write_grid_json(suite, out)
+    doc = {"suite": suite, "rows": [r._asdict() for r in rows],
+           "all_hold": all(r.holds for r in rows)}
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is imported on first use, so that importing ekrkit stays cheap
+    src = os.path.dirname(os.path.dirname(ekrkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, ekrkit\n"
+            "before = 'mpmath' in sys.modules\n"
+            "ekrkit.hypothesis('T5', ekrkit.BoundQuery(n=16, r=2))\n"
+            "print(before, 'mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False True\n"), proc.stderr
 
 
 def test_binom_walk_matches_binom():

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, product
 
@@ -326,6 +327,21 @@ def test_alpha_mu_on_random_graphs():
         g = Graph(n, edges)
         assert max_independent_set_size(g) == brute_alpha(n, edges)
         assert min_maximal_independent_set_size(g) == brute_mu(n, edges)
+
+
+def test_alpha_mu_leave_no_garbage():
+    # the searches keep their state on local stacks: no reference cycle is left
+    # for the cyclic collector, which is switched off so that it cannot hide one
+    cases = [generate(spec) for spec in ("spider:2,2,2", "cycle:7", "kpartite:3,4")]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in cases:
+            max_independent_set_size(g)
+            min_maximal_independent_set_size(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_alpha_mu_known_values():
