@@ -4,6 +4,8 @@ Everything here works from raw (n, edge list) data with naive algorithms:
 itertools enumeration, full subset scans, union-find.  Nothing routes
 through the package's own counting or search code paths.
 """
+import hashlib
+import json
 from itertools import combinations, permutations, product
 
 
@@ -191,3 +193,12 @@ def perm_closure(gens, n: int) -> set:
                 seen.add(q)
                 todo.append(q)
     return seen
+
+
+def report_digest(reports) -> str:
+    """SHA-256 over the sorted-key JSON of each report's `to_json_dict()`, one
+    line per report, so a pinned digest covers every output byte in order."""
+    digest = hashlib.sha256()
+    for rep in reports:
+        digest.update(json.dumps(rep.to_json_dict(), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()

@@ -1,9 +1,8 @@
-import hashlib
-import json
 import random
 import sys
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -391,10 +390,26 @@ def test_search_outputs_are_pinned():
     cases = [(t, r) for n in range(1, 12) for t in free_trees(n)
              for r in range(1, min(3, max_independent_set_size(t)) + 1)]
     cases += [(generate("spider:4,4,4"), 4), (generate("spider:3,3,3,3"), 4)]
-    digest = hashlib.sha256()
-    for g, r in cases:
-        for fn in SEARCHES:
-            digest.update(json.dumps(fn(g, r).to_json_dict(), sort_keys=True).encode() + b"\n")
     assert len(cases) == 1304
-    assert digest.hexdigest() == (
+    assert H.report_digest(fn(g, r) for g, r in cases for fn in SEARCHES) == (
         "f76535c8805514bc3e429c66376c099ee2fe8def9b724bfb442d21cdf650342f")
+
+
+def test_non_tree_search_outputs_are_pinned():
+    # the same pin beyond trees, where Aut(G) comes from the refinement
+    # search: the three searches on every nonempty graph of the networkx atlas
+    # (n <= 7) at r <= min(3, alpha) and on the verdict benchmark's fixed
+    # instances, then nonuniform_ekr on every atlas graph
+    atlas = [Graph(a.number_of_nodes(), list(a.edges()))
+             for a in nx.graph_atlas_g() if a.number_of_nodes()]
+    cases = [(g, r) for g in atlas
+             for r in range(1, min(3, max_independent_set_size(g)) + 1)]
+    cases += [(generate(f"empty:{n}"), 3) for n in (9, 10, 11)]
+    cases += [(generate("cycle:12"), 4), (generate("kpartite:3,3,3"), 2),
+              (generate("kpartite:3,3"), 2)]
+    cases += [(generate(f"spider:{legs}"), 5) for legs in ("1,3,4,5", "3,3,3,3", "2,3,4")]
+    assert len(cases) == 3586
+    reports = [fn(g, r) for g, r in cases for fn in SEARCHES]
+    reports += [V.nonuniform_ekr(g) for g in atlas]
+    assert H.report_digest(reports) == (
+        "f85dca69e67807a503229709ff36fdbb562cd9622a05ed0e5df6322b1ad6ccdc")
