@@ -90,16 +90,17 @@ def all_independent_sets(g: Graph) -> list[int]:
     """All nonempty independent sets of every size, ascending as bitset integers."""
     adj = g.adj
     out = []
-
-    def rec(m: int, acc: int):
+    stack = [(g.vertex_mask, 0)]  # (vertices that may join, set so far)
+    while stack:
+        m, acc = stack.pop()
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             m ^= low
-            out.append(acc | low)
-            rec(m & ~adj[v], acc | low)
-
-    rec(g.vertex_mask, 0)
+            s = acc | low
+            out.append(s)
+            ext = m & ~adj[low.bit_length() - 1]
+            if ext:
+                stack.append((ext, s))
     out.sort()
     return out
 
@@ -121,19 +122,22 @@ def indep_size_counts(g: Graph, anchor: Optional[int] = None, forbidden: int = 0
         allowed &= ~(adj[anchor] | 1 << anchor)
         base = 1
     counts = [0] * (cap + 1)
-
-    def rec(m: int, size: int):
-        counts[size] += 1
-        if size == cap:
-            return
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            rec(m & ~adj[v], size + 1)
-
-    if base <= cap:
-        rec(allowed, base)
+    if base > cap:
+        return counts
+    counts[base] = 1
+    # (vertices that may join, set size): each of them makes a set one larger
+    stack = [(allowed, base)] if allowed and base < cap else []
+    while stack:
+        m, size = stack.pop()
+        size += 1
+        counts[size] += m.bit_count()
+        if size < cap:
+            while m:
+                low = m & -m
+                m ^= low
+                ext = m & ~adj[low.bit_length() - 1]
+                if ext:
+                    stack.append((ext, size))
     return counts
 
 

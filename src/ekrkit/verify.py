@@ -31,7 +31,9 @@ so the first subtree, where the witness is usually found, is unchanged.
 Deeper nodes branch on single sets: their subproblems are invariant only
 under the stabiliser of all the sets picked so far, which would have to be
 computed anew for every subtree.  `nodes_explored` counts the nodes of this
-symmetry-reduced search.
+symmetry-reduced search.  Per node, a greedy matching runs first and stops
+once it proves that the node cannot beat the best family; only a node that
+survives it scans the candidates for absorption and the pick.
 """
 from __future__ import annotations
 
@@ -220,13 +222,31 @@ def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
         if nodes > max_nodes:
             exceeded = True
             break
-        # one pass in index order: absorb the candidates that meet everything
-        # still allowed, take the greedy matching of the rest of the
-        # disjointness graph and the pick of most disjoint partners.  An
-        # absorbed candidate is nobody's disjoint partner, so removing it
-        # changes no other count and it is never matched.
-        absorbed = matched = 0
-        free = allowed
+        # pass 1, the matching bound: each candidate still unmatched when
+        # reached, in index order, takes its lowest unmatched later disjoint
+        # partner, and the node is pruned once `need` pairs are matched (which
+        # needs 2 * need <= |allowed|).  Absorbing first would change neither
+        # size + |allowed| nor this matching, as an absorbed candidate has no
+        # allowed disjoint partner, and a node pruned here could not raise
+        # `best`; so testing the bound first prunes exactly the same nodes.
+        count = allowed.bit_count()
+        need = size + count - best
+        if need <= 0:
+            continue
+        if 2 * need <= count:
+            free, matched = allowed, 0
+            while free and matched < need:
+                low = free & -free
+                free ^= low
+                nb = dnb[low.bit_length() - 1] & free
+                if nb:
+                    free ^= nb & -nb
+                    matched += 1
+            if matched == need:
+                continue
+        # pass 2, at a surviving node: absorb the candidates that meet all
+        # still allowed, and pick the one with most allowed disjoint partners
+        absorbed = 0
         pick, deg = -1, 0
         m = allowed
         while m:
@@ -241,12 +261,6 @@ def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
             d = nb.bit_count()
             if d > deg:
                 pick, deg = i, d
-            if free & low:
-                free ^= low
-                nb &= free
-                if nb:
-                    free ^= nb & -nb
-                    matched += 1
         if absorbed:
             allowed ^= absorbed
             sel |= absorbed
@@ -256,8 +270,6 @@ def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
         if not allowed:
             if size > best and (common == 0 or size == 0):
                 best, best_sel = size, sel
-            continue
-        if size + allowed.bit_count() - matched <= best:
             continue
         pb = 1 << pick
         if chain is None:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -31,6 +32,7 @@ from ekrkit.families import (
 from ekrkit.graphs import Graph, GraphError, SpiderSpec, generate
 from ekrkit.bounds import binom, spider_star_lower
 from ekrkit.treegen import free_trees
+from ekrkit.verify import nonuniform_ekr
 
 import helpers as H
 
@@ -85,6 +87,31 @@ def test_all_independent_sets():
     assert got == H.brute_all_independent_sets(4, g.edges())
     assert 0 not in got
     assert all_independent_sets(Graph(1, [])) == [1]
+    rng = random.Random(17)
+    for _ in range(20):
+        n = rng.randint(1, 10)
+        edges = H.random_graph_edges(rng, n, rng.randint(0, 2 * n))
+        assert all_independent_sets(Graph(n, edges)) == H.brute_all_independent_sets(n, edges)
+
+
+def test_enumeration_leaves_no_garbage():
+    # the subset enumerations keep their state on local stacks: no reference
+    # cycle is left for the cyclic collector, which is switched off so that it
+    # cannot hide one.  On a tree the search takes its automorphisms from
+    # rooted codes, so nonuniform_ekr leaves none either.
+    path = generate("path:7")
+    graphs = [path, generate("cycle:7"), generate("kpartite:3,4")]
+    gc.collect()
+    gc.disable()
+    try:
+        nonuniform_ekr(path)
+        for g in graphs:
+            all_independent_sets(g)
+            indep_size_counts(g, anchor=0)
+            count_rsets(g, 3, method=ENUMERATION)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_indep_size_counts_vs_brute():
