@@ -305,8 +305,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--r", type=int, required=r == "required", help="set size")
         if budget:
             sp.add_argument("--budget", type=int, default=None,
-                            help=f"search node budget (default ${vf.BUDGET_ENV} or "
-                                 f"{vf.DEFAULT_MAX_NODES})")
+                            help=f"search node budget (default {vf.DEFAULT_MAX_NODES})")
         sp.add_argument("--out", default=None, help="write output to this file")
         if fmt:
             sp.add_argument("--format", dest="fmt", choices=fmt, default=fmt[0])

@@ -487,35 +487,3 @@ def splitstar_witness(merged: PathMerge, a_mask: int, junction: int = 0) -> int:
         raise AssertionError("witness unexpectedly independent in the merged path")
     return out
 
-
-# -- family dump format ------------------------------------------------
-
-def format_family(masks) -> str:
-    """One set per line as `{0,2,5}`, lines in ascending bitset order."""
-    lines = []
-    for mask in sorted(masks):
-        lines.append("{" + ",".join(str(v) for v in bit_list(mask)) + "}")
-    return "".join(line + "\n" for line in lines)
-
-
-def parse_family(text: str) -> list[int]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not (line.startswith("{") and line.endswith("}")):
-            raise GraphError(f"family line {lineno}: expected {{...}}, got {raw!r}")
-        inner = line[1:-1].strip()
-        mask = 0
-        if inner:
-            for part in inner.split(","):
-                try:
-                    v = int(part)
-                except ValueError:
-                    raise GraphError(f"family line {lineno}: bad vertex {part!r}")
-                if v < 0:
-                    raise GraphError(f"family line {lineno}: negative vertex")
-                mask |= 1 << v
-        out.append(mask)
-    return out

@@ -13,9 +13,6 @@ from typing import Iterable, Iterator, Optional
 
 MAX_VERTICES = 128
 
-# exact alpha/mu search is only promised up to this many vertices
-EXACT_PARAM_LIMIT = 40
-
 
 class GraphError(ValueError):
     """Bad graph input (construction, parsing, generation)."""
@@ -31,10 +28,6 @@ class Graph6Error(GraphError):
 
 class GeneratorError(GraphError):
     """Unknown generator kind or out-of-range generator parameters."""
-
-
-class SearchLimitError(RuntimeError):
-    """Exact search refused: instance exceeds the exact-computation limit."""
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -309,10 +302,6 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(top + 1, edges, label="edges")
 
 
-def format_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
-
-
 # -- spiders -----------------------------------------------------------
 
 def spider_order(legs) -> list[int]:
@@ -465,29 +454,6 @@ def generate(spec: str) -> Graph:
     raise GeneratorError(f"unknown generator kind {kind!r}")
 
 
-# -- distance ----------------------------------------------------------
-
-def distance(g: Graph, u: int, v: int) -> Optional[int]:
-    """BFS distance between u and v; None when no path exists."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise GraphError(f"vertex out of range for n={g.n}")
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        grow = 0
-        for w in iter_bits(frontier):
-            grow |= g.adj[w]
-        frontier = grow & ~seen
-        if frontier >> v & 1:
-            return d
-        seen |= frontier
-    return None
-
-
 # -- automorphisms -----------------------------------------------------
 #
 # Individualisation-refinement (McKay, "Practical graph isomorphism", 1981).
@@ -499,10 +465,6 @@ def distance(g: Graph, u: int, v: int) -> Optional[int]:
 
 # refinements the generator search may run before it returns what it has
 AUTOMORPHISM_NODE_LIMIT = 20_000
-
-
-class _SearchStopped(Exception):
-    pass
 
 
 def _refine(adj: tuple, cells: list[int], splitters: list[int]) -> list[int]:
@@ -673,60 +635,46 @@ def _refinement_generators(g: Graph, setwise: int) -> list[tuple]:
     first = [c.bit_length() - 1 for c in path[-1]]
     shapes = [[c.bit_count() for c in p] for p in path]
     nodes = 0
-
-    def child(p: list[int], depth: int, w: int) -> Optional[list[int]]:
-        """Refined child of p by w, or None when its cell sizes rule it out."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > AUTOMORPHISM_NODE_LIMIT:
-            raise _SearchStopped
-        q = _individualise(adj, p, targets[depth][0], w)
-        return q if [c.bit_count() for c in q] == shapes[depth + 1] else None
-
-    def leaf_map(p: list[int], depth: int) -> Optional[list[int]]:
-        """An automorphism taking the first leaf to a leaf below p, if any."""
-        if depth == len(targets):
-            perm = [0] * n
-            for u, c in zip(first, p):
-                perm[u] = c.bit_length() - 1
-            return perm if _checked(adj, setwise, perm) else None
-        for w in iter_bits(p[targets[depth][0]]):
-            q = child(p, depth, w)
-            if q is not None:
-                perm = leaf_map(q, depth + 1)
-                if perm is not None:
-                    return perm
-        return None
-
     orbit = list(range(n))  # union-find over the vertices
     gens = []
-    try:
-        for depth in reversed(range(len(targets))):
-            t, v = targets[depth]
-            for w in iter_bits(path[depth][t]):
-                if find_root(orbit, w) == find_root(orbit, v):
+    for level in reversed(range(len(targets))):
+        t, v = targets[level]
+        for w in iter_bits(path[level][t]):
+            if find_root(orbit, w) == find_root(orbit, v):
+                continue
+            # depth first below the child by w for a leaf that the first leaf
+            # maps onto; an entry (node, depth, todo) holds the vertices of the
+            # node's target cell whose children are still to try, lowest first
+            perm = None
+            stack = [(path[level], level, 1 << w)]
+            while stack and perm is None:
+                p, depth, todo = stack.pop()
+                if not todo:
                     continue
-                q = child(path[depth], depth, w)
-                perm = None if q is None else leaf_map(q, depth + 1)
-                if perm is not None:
-                    gens.append(tuple(perm))
-                    for x, y in enumerate(perm):
-                        orbit[find_root(orbit, x)] = find_root(orbit, y)
-    except _SearchStopped:
-        pass
+                low = todo & -todo
+                stack.append((p, depth, todo ^ low))
+                nodes += 1
+                if nodes > AUTOMORPHISM_NODE_LIMIT:
+                    return gens
+                q = _individualise(adj, p, targets[depth][0], low.bit_length() - 1)
+                if [c.bit_count() for c in q] != shapes[depth + 1]:
+                    continue  # cell sizes rule this child out
+                if depth + 1 < len(targets):
+                    stack.append((q, depth + 1, q[targets[depth + 1][0]]))
+                    continue
+                perm = [0] * n
+                for u, c in zip(first, q):
+                    perm[u] = c.bit_length() - 1
+                if not _checked(adj, setwise, perm):
+                    perm = None
+            if perm is not None:
+                gens.append(tuple(perm))
+                for x, y in enumerate(perm):
+                    orbit[find_root(orbit, x)] = find_root(orbit, y)
     return gens
 
 
 # -- exact parameters --------------------------------------------------
-
-@dataclass(frozen=True)
-class GraphParams:
-    alpha: int          # max independent set size
-    mu: int             # min maximal independent set size
-    max_degree: int
-    split_count: int    # vertices of degree >= 3
-    edge_count: int
-
 
 def max_independent_set_size(g: Graph) -> int:
     """Exact alpha by branch and bound (take/skip a max-degree vertex)."""
@@ -780,26 +728,3 @@ def min_maximal_independent_set_size(g: Graph) -> int:
                 stack.append((chosen | 1 << u, dominated | 1 << u | adj[u], size + 1))
     return best
 
-
-def is_maximal_independent(g: Graph, mask: int) -> bool:
-    if not g.is_independent(mask):
-        return False
-    dominated = mask
-    for v in iter_bits(mask):
-        dominated |= g.adj[v]
-    return dominated == g.vertex_mask
-
-
-def params(g: Graph, limit: int = EXACT_PARAM_LIMIT) -> GraphParams:
-    """Exact graph parameters; refuses loudly past the exact-search limit."""
-    if g.n > limit:
-        raise SearchLimitError(
-            f"exact alpha/mu search is limited to n <= {limit}; got n = {g.n}")
-    degs = g.degrees()
-    return GraphParams(
-        alpha=max_independent_set_size(g),
-        mu=min_maximal_independent_set_size(g),
-        max_degree=max(degs),
-        split_count=sum(1 for d in degs if d >= 3),
-        edge_count=sum(degs) // 2,
-    )

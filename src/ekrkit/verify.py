@@ -37,7 +37,6 @@ survives it scans the candidates for absorption and the pick.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -47,7 +46,6 @@ from .graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, bit
                      iter_bits)
 
 DEFAULT_MAX_NODES = 10_000_000
-BUDGET_ENV = "EKRKIT_MAX_NODES"
 
 EKR = "ekr"
 NOT_EKR = "not_ekr"
@@ -62,16 +60,6 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes < 1:
             raise GraphError(f"budget must allow at least one node, got {self.max_nodes}")
-
-
-def default_budget() -> SearchBudget:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return SearchBudget()
-    try:
-        return SearchBudget(int(raw))
-    except ValueError:
-        raise GraphError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -311,7 +299,7 @@ def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: Optional
     search returns its floor when it finds nothing, so the verdict follows
     from `found` against the best star either way.
     """
-    budget = budget or default_budget()
+    budget = budget or SearchBudget()
     meets = _containment(cands, g.n)
     stars = [m.bit_count() for m in meets]
     ss = max(stars)

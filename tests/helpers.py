@@ -43,6 +43,20 @@ def brute_all_independent_sets(n: int, edges) -> list:
     return sorted(out)
 
 
+def is_maximal_independent(n: int, edges, m: int) -> bool:
+    """No edge inside m, and every vertex outside m has a neighbour in it."""
+    inside = set(bits(m))
+    if any(u in inside and v in inside for u, v in edges):
+        return False
+    dominated = set(inside)
+    for u, v in edges:
+        if u in inside:
+            dominated.add(v)
+        if v in inside:
+            dominated.add(u)
+    return len(dominated) == n
+
+
 def brute_max_intersecting(cands, empty_common_only: bool = False):
     """(max size, one witness) over all subfamilies, full 2^k scan."""
     k = len(cands)

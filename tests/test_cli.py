@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import ekrkit
 import ekrkit.bounds as bounds
 import ekrkit.cli as cli
 from ekrkit.cli import main
@@ -312,13 +313,10 @@ def test_input_error_exit_code(capsys):
     assert code == 1
 
 
-def test_budget_exit_code(capsys, monkeypatch):
+def test_budget_exit_code(capsys):
     code, payload = run_json(capsys, "ekr", "--graph", "empty:9", "--r", "4",
                              "--budget", "1")
     assert code == 2 and payload["verdict"] == "budget_exceeded"
-    monkeypatch.setenv("EKRKIT_MAX_NODES", "1")
-    code, payload = run_json(capsys, "ekr", "--graph", "empty:9", "--r", "4")
-    assert code == 2
     code, out, err = run_main(capsys, "search-ekr", "--n-max", "6", "--budget", "1")
     assert code == 2
 
@@ -460,6 +458,35 @@ def test_subcommand_options_are_pinned():
                         for a in sp._actions if a.option_strings and a.dest != "help")
            for name, sp in sub.choices.items()}
     assert got == OPTIONS
+
+
+# every public name of the package: adding or removing one changes this list
+PUBLIC_NAMES = [
+    "Applicability", "BUDGET_EXCEEDED", "BoundQuery", "CountResult", "EKR", "EkrReport",
+    "FREE_TREE_COUNTS", "FamilyQuery", "GeneratorError", "Graph", "Graph6Error",
+    "GraphError", "GridRow", "HkReport", "IneqResult", "MAX_VERTICES", "NOT_EKR",
+    "PathMerge", "PeelReport", "STRICTLY_EKR", "SearchBudget", "SpiderOrderReport",
+    "SpiderSpec", "SweepFinding", "SweepSummary", "all_independent_sets",
+    "automorphism_generators", "big_star_lower", "binom", "binoms2_ineq_check",
+    "binoms_ineq_check", "bit_list", "bounds", "check_degree_product",
+    "check_exp_linear", "check_one_minus_exp", "claim_star_lower", "count_path_rsets",
+    "count_rsets", "ekr_bound", "emit_graph6", "enum_independent_rsets", "families",
+    "frankl_bound", "free_trees", "generate", "graphs", "hm_bound", "hm_bound_sum_form",
+    "hm_identity_check", "hypothesis", "indep_size_counts", "indep_size_counts_tree_dp",
+    "is_intersecting", "is_r_ekr", "is_r_hk", "is_strictly_r_ekr", "iter_bits",
+    "mask_of", "max_independent_set_size", "max_nonstar_intersecting", "merge_paths",
+    "merge_tree_paths", "min_maximal_independent_set_size", "nonuniform_ekr",
+    "parse_edge_list", "parse_graph6", "peel", "peel_bound_check",
+    "peel_certificates_ok", "prufer_decode", "read_graph6_lines", "rmax", "run_grid",
+    "search_catalog", "search_trees", "spider_order", "spider_order_check",
+    "spider_star_lower", "split_star_lower", "splitstar_witness", "star_center",
+    "star_size", "star_vector_tree_dp", "star_vectors_tree_dp", "tree_certificate",
+    "treegen", "verify", "write_grid_csv", "write_grid_json",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(ekrkit.__all__) == PUBLIC_NAMES
 
 
 # -- goldens: stdout bytes of every README command -------------------------------

@@ -18,12 +18,10 @@ from ekrkit.families import (
     count_path_rsets,
     count_rsets,
     enum_independent_rsets,
-    format_family,
     indep_size_counts,
     indep_size_counts_tree_dp,
     merge_paths,
     merge_tree_paths,
-    parse_family,
     splitstar_witness,
     star_size,
     star_vector_tree_dp,
@@ -455,28 +453,6 @@ def test_merge_equality_placement_diagnostic():
     assert exact == 5
     assert marked_star < closed_form <= exact
     assert exact >= spider_star_lower(spec.n, spec.k, r)
-
-
-# -- family dump format --------------------------------------------------------
-
-def test_family_format_round_trip():
-    fam = [H.mask([0, 2, 5]), H.mask([1]), H.mask([0, 1])]
-    text = format_family(fam)
-    assert text == "{1}\n{0,1}\n{0,2,5}\n"
-    assert parse_family(text) == sorted(fam)
-
-
-def test_parse_family_errors():
-    with pytest.raises(GraphError):
-        parse_family("0,1\n")
-    with pytest.raises(GraphError):
-        parse_family("{0,x}\n")
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 2 ** 12 - 1), max_size=8))
-def test_family_round_trip_property(masks):
-    assert parse_family(format_family(masks)) == sorted(masks)
 
 
 # -- cross-checks between counting routes --------------------------------------

@@ -13,27 +13,22 @@ from ekrkit.graphs import (
     Graph6Error,
     GraphError,
     GeneratorError,
-    GraphParams,
-    SearchLimitError,
     SpiderSpec,
     automorphism_generators,
     bit_list,
-    distance,
     emit_graph6,
-    format_edge_list,
     generate,
-    is_maximal_independent,
     iter_bits,
     mask_of,
     max_independent_set_size,
     min_maximal_independent_set_size,
-    params,
     parse_edge_list,
     parse_graph6,
     read_graph6_lines,
     spider_order,
 )
 from ekrkit.treegen import free_trees
+from ekrkit.verify import is_r_ekr, max_nonstar_intersecting
 
 import helpers as H
 
@@ -178,7 +173,7 @@ def test_read_graph6_lines():
 
 def test_edge_list_round_trip():
     g = generate("spider:2,3,1")
-    text = format_edge_list(g)
+    text = "".join(f"{u} {v}\n" for u, v in g.edges())
     back = parse_edge_list(text)
     assert back == g
 
@@ -271,34 +266,6 @@ def test_spider_realize_matches_generate():
     assert generate("spider:2,2,2") == SpiderSpec((2, 2, 2)).realize()
 
 
-# -- distance ------------------------------------------------------------
-
-def test_distance():
-    g = generate("path:6")
-    assert distance(g, 0, 5) == 5
-    assert distance(g, 2, 2) == 0
-    h = Graph(4, [(0, 1), (2, 3)])
-    assert distance(h, 0, 3) is None
-    with pytest.raises(GraphError):
-        distance(g, 0, 9)
-
-
-def test_distance_against_networkx():
-    rng = random.Random(7)
-    for _ in range(25):
-        n = rng.randint(2, 15)
-        g = Graph(n, H.random_graph_edges(rng, n, rng.randint(0, 2 * n)))
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(n))
-        nxg.add_edges_from(g.edges())
-        u, v = rng.randrange(n), rng.randrange(n)
-        try:
-            expect = nx.shortest_path_length(nxg, u, v)
-        except nx.NetworkXNoPath:
-            expect = None
-        assert distance(g, u, v) == expect
-
-
 # -- exact parameters ------------------------------------------------------
 
 def brute_alpha(n, edges):
@@ -310,11 +277,10 @@ def brute_alpha(n, edges):
 
 
 def brute_mu(n, edges):
-    g = Graph(n, edges)
     best = n
     for r in range(1, n + 1):
         for m in H.brute_independent_rsets(n, edges, r):
-            if is_maximal_independent(g, m):
+            if H.is_maximal_independent(n, edges, m):
                 return r
     return best
 
@@ -345,28 +311,20 @@ def test_alpha_mu_leave_no_garbage():
 
 
 def test_alpha_mu_known_values():
-    spider = generate("spider:2,2,2")
-    p = params(spider)
-    assert p == GraphParams(alpha=4, mu=3, max_degree=3, split_count=1, edge_count=6)
-    assert params(generate("cycle:7")).alpha == 3
-    assert params(generate("empty:6")) == GraphParams(6, 6, 0, 0, 0)
-    assert params(generate("kpartite:3,4")).alpha == 4
+    for spec, alpha, mu in (("spider:2,2,2", 4, 3), ("cycle:7", 3, 3),
+                            ("empty:6", 6, 6), ("kpartite:3,4", 4, 3)):
+        g = generate(spec)
+        assert max_independent_set_size(g) == alpha
+        assert min_maximal_independent_set_size(g) == mu
 
 
 def test_is_maximal_independent():
-    g = generate("path:5")
-    assert is_maximal_independent(g, H.mask([0, 2, 4]))
-    assert is_maximal_independent(g, H.mask([0, 3]))  # dominates 1, 2 and 4
-    assert not is_maximal_independent(g, H.mask([2]))  # 0 and 4 stay free
-    assert not is_maximal_independent(g, H.mask([0]))
-    assert not is_maximal_independent(g, H.mask([0, 1]))  # not independent
-
-
-def test_params_limit_guard():
-    g = generate("empty:41")
-    with pytest.raises(SearchLimitError):
-        params(g)
-    assert params(g, limit=50).alpha == 41
+    edges = generate("path:5").edges()
+    assert H.is_maximal_independent(5, edges, H.mask([0, 2, 4]))
+    assert H.is_maximal_independent(5, edges, H.mask([0, 3]))  # dominates 1, 2 and 4
+    assert not H.is_maximal_independent(5, edges, H.mask([2]))  # 0 and 4 stay free
+    assert not H.is_maximal_independent(5, edges, H.mask([0]))
+    assert not H.is_maximal_independent(5, edges, H.mask([0, 1]))  # not independent
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,6 +437,24 @@ def test_automorphism_search_stops_early_with_a_valid_subgroup(monkeypatch):
         orders.append(len(H.perm_closure(gens, g.n)))
     assert orders[0] == 1 and orders[2] < 1296
     assert orders == sorted(orders)
+
+
+def test_automorphism_search_leaves_no_garbage():
+    # the refinement search keeps its state on a local stack, so neither it
+    # nor a verdict search on a non-tree graph leaves a reference cycle for
+    # the cyclic collector, which is switched off so that it cannot hide one
+    cases = [generate(spec) for spec in ("cycle:7", "kpartite:3,4", "empty:6")]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in cases:
+            automorphism_generators(g)
+        assert gc.collect() == 0
+        is_r_ekr(cases[-1], 2)
+        max_nonstar_intersecting(cases[-1], 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _vertex_orbits(gens, n) -> set:

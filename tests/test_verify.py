@@ -144,19 +144,13 @@ def test_report_json_schema():
     assert d2["witness"] == [[0, 2], [0, 3], [0, 4]]  # the certifying full star
 
 
-def test_budget_exhaustion_and_env_default(monkeypatch):
+def test_budget_exhaustion_and_env_default():
     rep = V.is_r_ekr(generate("empty:9"), 4, budget=V.SearchBudget(1))
     assert rep.verdict == V.BUDGET_EXCEEDED
     # the best star stands in as the provisional answer
     assert rep.max_intersecting_size >= rep.max_star_size
     assert V.is_intersecting(rep.witness)
-    monkeypatch.setenv(V.BUDGET_ENV, "123")
-    assert V.default_budget().max_nodes == 123
-    monkeypatch.setenv(V.BUDGET_ENV, "zero")
-    with pytest.raises(ValueError):
-        V.default_budget()
-    monkeypatch.delenv(V.BUDGET_ENV)
-    assert V.default_budget().max_nodes == V.DEFAULT_MAX_NODES
+    assert V.SearchBudget().max_nodes == V.DEFAULT_MAX_NODES
     with pytest.raises(ValueError):
         V.SearchBudget(0)
 
