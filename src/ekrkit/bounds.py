@@ -7,8 +7,9 @@ via mpmath with a conservative 1e-9 margin, so borderline hypotheses report
 not-applicable rather than applicable.  The T5/T6 yes/no answers that rmax
 and the grids need are decided in double precision first; only those within
 1e-7 of the threshold, or outside the float path's stated domain, are
-decided again at 120 bits (see _applies).  hypothesis() always runs at 120
-bits, as it also reports the threshold.
+decided again at 120 bits (see _applies); hypothesis() takes its T5/T6
+answers from there too.  The threshold string that hypothesis() reports,
+Applicability.threshold_r, is computed at 120 bits only when it is read.
 """
 from __future__ import annotations
 
@@ -133,7 +134,16 @@ class Applicability:
     theorem: str
     applicable: bool
     conditions: tuple  # (label, ok) pairs
-    threshold_r: Optional[str] = None  # decimal string of the r-threshold, if one exists
+    n: Optional[int] = None  # T5/T6: the r-threshold is sqrt(n ln c) - (ln c)/2
+    c: Optional[Fraction] = None
+
+    @property
+    def threshold_r(self) -> Optional[str]:
+        """Decimal string (17 digits) of the r-threshold, if one exists; made at
+        PRECISION_BITS on each read."""
+        if self.c is None:
+            return None
+        return _mpmath().nstr(_threshold(self.n, self.c), 17)
 
 
 # -- pointwise estimates -----------------------------------------------
@@ -153,7 +163,7 @@ def check_exp_linear(x, k: int) -> IneqResult:
     hyp_ok = 0 <= x <= dom_hi
     mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
-        lhs = mp.e ** (-_mpf_of(x))
+        lhs = mp.exp(-_mpf_of(x))
         rhs = 1 - _mpf_of(Fraction(k, k + 1) * x)
         boundary = x == 0
         holds = bool(lhs < rhs) or boundary
@@ -171,7 +181,7 @@ def check_one_minus_exp(y, k: int) -> IneqResult:
     mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
         lhs = 1 - _mpf_of(y)
-        rhs = mp.e ** (-_mpf_of(Fraction(k + 1, k) * y))
+        rhs = mp.exp(-_mpf_of(Fraction(k + 1, k) * y))
         boundary = y == 0
         holds = bool(lhs > rhs) or boundary
     return IneqResult("one-minus-exp", f"y={y};k={k}", lhs, rhs, holds, hyp_ok, boundary)
@@ -204,20 +214,25 @@ def big_star_lower(n: int, r: int, d: int, k: int):
     mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
         lead = _mpf_of(Fraction(n ** (r - 1), math.factorial(r - 1)))
-        value = lead * mp.e ** (-_mpf_of(Fraction((r - 1) * 2 * k, (k + 1) ** 2)))
+        value = lead * mp.exp(-_mpf_of(Fraction((r - 1) * 2 * k, (k + 1) ** 2)))
     return value, hyp_ok
 
 
 # -- theorem applicability ----------------------------------------------
 
-def _r_below_threshold(r: int, n: int, c: Fraction) -> tuple:
-    """Whether r <= sqrt(n ln c) - (ln c)/2 less MARGIN, and that threshold (an mpf),
-    both at PRECISION_BITS."""
+def _threshold(n: int, c: Fraction):
+    """The r-threshold sqrt(n ln c) - (ln c)/2, an mpf at PRECISION_BITS."""
     mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
         ln_c = mp.log(_mpf_of(c))
-        t = mp.sqrt(n * ln_c) - ln_c / 2
-        return bool(mp.mpf(r) <= t - _mpf_of(MARGIN)), t
+        return mp.sqrt(n * ln_c) - ln_c / 2
+
+
+def _r_max_below_threshold(n: int, c: Fraction) -> int:
+    """The largest integer r <= sqrt(n ln c) - (ln c)/2 less MARGIN, at PRECISION_BITS."""
+    mp = _mpmath()
+    with mp.workprec(PRECISION_BITS):
+        return int(mp.floor(_threshold(n, c) - _mpf_of(MARGIN)))
 
 
 # _applies decides in floats for n <= _FLOAT_N_MAX and r <= _FLOAT_R_MAX, unless
@@ -229,9 +244,8 @@ _MARGIN_FLOAT = float(MARGIN)
 
 
 def _applies(theorem: str, n: int, r: int, s: int = 0) -> bool:
-    """hypothesis(theorem, BoundQuery(n=n, r=r, s=s)).applicable for T5 (s = 0)
-    and T6, on queries that _check_query accepts, without building the query
-    or its record.
+    """Whether T5 (s = 0) or T6 applies at (n, r, s), for queries that
+    _check_query accepts: hypothesis, rmax and the grids all decide here.
 
     With x = c - 1 = (r - 2s)/r, the answer is g > 0, where
     g = sqrt(n ln c) - (ln c)/2 - MARGIN - r.  For n <= _FLOAT_N_MAX and
@@ -246,7 +260,7 @@ def _applies(theorem: str, n: int, r: int, s: int = 0) -> bool:
       three subtractions rounds a value under 2**15 by at most half an ulp,
       1.9e-12.
     So |g| > _FLOAT_BAND = 1e-7 fixes the sign with three orders of magnitude to
-    spare; every other query is decided by _r_below_threshold, as in hypothesis.
+    spare; every other query is decided at 120 bits by _r_max_below_threshold.
     """
     if theorem == "T6" and not 0 < 2 * s < r:
         return False
@@ -256,7 +270,7 @@ def _applies(theorem: str, n: int, r: int, s: int = 0) -> bool:
         gap = math.sqrt(n * ln_c) - ln_c / 2 - _MARGIN_FLOAT - r
         if abs(gap) > _FLOAT_BAND:
             return gap > 0
-    return _r_below_threshold(r, n, 2 - Fraction(2 * s, r))[0]
+    return r <= _r_max_below_threshold(n, 2 - Fraction(2 * s, r))
 
 
 def _check_query(theorem: str, q: BoundQuery, with_r: bool) -> None:
@@ -293,19 +307,17 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
         return Applicability(theorem, c_ok and n_ok,
                              (("c >= e/36", c_ok), ("n > 18*c*r^3", n_ok)))
     if theorem == "T5":
-        ok, t = _r_below_threshold(q.r, q.n, Fraction(2))
+        ok = _applies(theorem, q.n, q.r)
         return Applicability(theorem, ok, (("r <= sqrt(n ln 2) - ln(2)/2", ok),),
-                             threshold_r=_mpmath().nstr(t, 17))
+                             q.n, Fraction(2))
     if theorem == "T6":
-        s_ok = 0 < 2 * q.s < q.r
-        if not s_ok:
+        if not 0 < 2 * q.s < q.r:
             return Applicability(theorem, False, (("0 < s < r/2", False),))
-        c = 2 - Fraction(2 * q.s, q.r)
-        ok, t = _r_below_threshold(q.r, q.n, c)
+        ok = _applies(theorem, q.n, q.r, q.s)
         return Applicability(theorem, ok,
                              (("0 < s < r/2", True),
                               ("r <= sqrt(n ln c) - ln(c)/2, c = 2 - 2s/r", ok)),
-                             threshold_r=_mpmath().nstr(t, 17))
+                             q.n, 2 - Fraction(2 * q.s, q.r))
     ok = 72 * q.r < q.n  # T8
     return Applicability(theorem, ok, (("r < n/72", ok),))
 
@@ -321,10 +333,10 @@ def rmax(theorem: str, q: BoundQuery) -> list[int]:
         # c < 2 keeps every admissible r under the T5 threshold, so cap there
         cap = int(math.isqrt(int(q.n * math.log(2)))) + 3
         return [r for r in range(1, cap + 1) if _applies(theorem, q.n, r, q.s)]
-    # T2-avg and T5 apply at every r up to a threshold
-    r = 1
-    while (_applies(theorem, q.n, r) if theorem == "T5"
-           else hypothesis(theorem, replace(q, r=r)).applicable):
+    if theorem == "T5":  # c = 2 does not depend on r: every r up to one threshold
+        return list(range(1, _r_max_below_threshold(q.n, Fraction(2)) + 1))
+    r = 1  # T2-avg applies at every r up to a threshold
+    while hypothesis(theorem, replace(q, r=r)).applicable:
         r += 1
     return list(range(1, r))
 
@@ -370,17 +382,18 @@ def peel(g: Graph, threshold: int) -> PeelReport:
     if threshold < 1:
         raise GraphError(f"peel threshold must be >= 1, got {threshold}")
     alive = g.vertex_mask
+    live = list(range(g.n))  # ascending, so max() below picks the smallest index on ties
+    deg = g.degrees()  # deg[v] = |adj[v] & alive| for every live v
     removed = []
-    while True:
-        best_v, best_d = -1, threshold - 1
-        for v in iter_bits(alive):
-            d = (g.adj[v] & alive).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
-        if best_v < 0:
+    while live:
+        v = max(live, key=deg.__getitem__)
+        if deg[v] < threshold:
             break
-        removed.append((best_v, best_d))
-        alive ^= 1 << best_v
+        removed.append((v, deg[v]))
+        live.remove(v)
+        alive ^= 1 << v
+        for u in iter_bits(g.adj[v] & alive):
+            deg[u] -= 1
     residual, kept = g.induced(alive, label=f"{g.label or 'graph'}-peeled")
     return PeelReport(g, threshold, len(removed), tuple(removed), tuple(kept), residual)
 

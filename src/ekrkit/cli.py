@@ -201,15 +201,15 @@ def _run_bounds(args, stream) -> int:
     payload = {"theorem": theorem, "n": n,
                "r_max": max(admissible) if admissible else 0,
                "admissible_r": admissible}
+    app = bnd.hypothesis(theorem, q if r is not None
+                         else replace(q, r=max(admissible, default=1)))
+    threshold = app.threshold_r  # computed at 120 bits on each read
     if r is not None:
-        app = bnd.hypothesis(theorem, q)
         payload["hypothesis"] = {"r": r, "applicable": app.applicable,
                                  "conditions": [list(c) for c in app.conditions],
-                                 "threshold_r": app.threshold_r}
-    else:
-        app = bnd.hypothesis(theorem, replace(q, r=max(admissible, default=1)))
-    if app.threshold_r is not None:
-        payload["threshold"] = app.threshold_r
+                                 "threshold_r": threshold}
+    if threshold is not None:
+        payload["threshold"] = threshold
     _emit(stream, payload, args.fmt)
     return EXIT_OK
 

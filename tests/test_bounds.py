@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 import os
@@ -222,8 +223,20 @@ def test_rmax_t3_closed_form_matches_condition():
 def test_rmax_matches_hypothesis(theorem, kw, r_hi):
     admissible = B.rmax(theorem, BoundQuery(**kw))
     for r in range(1, r_hi + 1):
-        expect = B.hypothesis(theorem, BoundQuery(r=r, **kw)).applicable
+        # rmax and hypothesis both decide T6 through _applies: check it against the oracle
+        expect = (_exact_applies(theorem, r=r, **kw) if theorem == "T6"
+                  else B.hypothesis(theorem, BoundQuery(r=r, **kw)).applicable)
         assert (r in admissible) == expect, (theorem, r)
+
+
+def _exact_applies(theorem, n, r, s=0):
+    """The 120-bit answer for T5 (s = 0) or T6, read off the threshold alone."""
+    if theorem == "T6" and not 0 < 2 * s < r:
+        return False
+    mp = B._mpmath()
+    with mp.workprec(B.PRECISION_BITS):
+        t = B._threshold(n, 2 - Fraction(2 * s, r))
+        return bool(mp.mpf(r) <= t - B._mpf_of(B.MARGIN))
 
 
 def test_applies_agrees_with_the_120_bit_path():
@@ -231,7 +244,7 @@ def test_applies_agrees_with_the_120_bit_path():
     # T5: every (n, r) with n <= 5000 and r <= 60 (past the threshold at n = 5000);
     # the 120-bit answer is r <= t - MARGIN, so one threshold per n gives every r
     for n in range(0, 5001):
-        _, t = B._r_below_threshold(1, n, Fraction(2))
+        t = B._threshold(n, Fraction(2))
         with mp.workprec(B.PRECISION_BITS):
             top = int(mp.floor(t - B._mpf_of(B.MARGIN)))
         assert [r for r in range(1, 61) if B._applies("T5", n, r)] == list(range(1, top + 1)), n
@@ -239,19 +252,18 @@ def test_applies_agrees_with_the_120_bit_path():
     for n in range(1, 5001, 37):
         for s in range(0, 6):
             for r in range(1, isqrt(n * 7 // 10) + 4):
-                want = B.hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable
-                assert B._applies("T6", n, r, s) == want, (n, r, s)
+                assert B._applies("T6", n, r, s) == _exact_applies("T6", n, r, s), (n, r, s)
 
 
 def test_applies_defers_near_the_threshold_and_outside_its_domain(monkeypatch):
     deferred = []
-    exact = B._r_below_threshold
+    exact = B._r_max_below_threshold
 
-    def spy(r, n, c):
-        deferred.append((n, r))
-        return exact(r, n, c)
+    def spy(n, c):
+        deferred.append((n, c))
+        return exact(n, c)
 
-    monkeypatch.setattr(B, "_r_below_threshold", spy)
+    monkeypatch.setattr(B, "_r_max_below_threshold", spy)
     n_max, r_max = B._FLOAT_N_MAX, B._FLOAT_R_MAX
     for theorem, n, r, s, defers in [
         # float gap to t - MARGIN within _FLOAT_BAND: +3.2e-8, +3.6e-8 and -1.6e-9
@@ -268,8 +280,37 @@ def test_applies_defers_near_the_threshold_and_outside_its_domain(monkeypatch):
     ]:
         deferred.clear()
         got = B._applies(theorem, n, r, s)
-        assert deferred == ([(n, r)] if defers else []), (theorem, n, r, s)
-        assert got == B.hypothesis(theorem, BoundQuery(n=n, r=r, s=s)).applicable, (n, r, s)
+        assert deferred == ([(n, 2 - Fraction(2 * s, r))] if defers else []), (theorem, n, r, s)
+        assert got == _exact_applies(theorem, n, r, s), (n, r, s)
+
+
+def test_hypothesis_t5_t6_records_are_pinned():
+    # SHA-256 of the T5/T6 records as the all-120-bit hypothesis() made them; the
+    # threshold strings are read here, so this also pins their lazy computation
+    digest = hashlib.sha256()
+    for n in [*range(0, 3000, 7), 10 ** 9, 10 ** 9 + 1, 6_671_008]:
+        for r in (1, 2, 5, 13, 40):
+            for theorem, s in [("T5", 0), *(("T6", s) for s in range(0, 6))]:
+                app = B.hypothesis(theorem, BoundQuery(n=n, r=r, s=s))
+                digest.update(repr((theorem, n, r, s, app.applicable, app.conditions,
+                                    app.threshold_r)).encode())
+    assert digest.hexdigest() == (
+        "bf6fa6325731ff430092bc852251f4fae4211cc3bc7ad0e028c3262407d91225")
+
+
+def test_rmax_t5_closed_form_matches_the_loop():
+    # one threshold gives the range; the oracle asks _applies for every r
+    for n in range(0, 3000):
+        want, r = [], 1
+        while B._applies("T5", n, r):
+            want.append(r)
+            r += 1
+        assert B.rmax("T5", BoundQuery(n=n)) == want, n
+    # past _FLOAT_N_MAX; the tops were found with the per-r loop (seconds at these n)
+    for n, top in [(10 ** 9 - 1, 26_327), (10 ** 9, 26_327), (10 ** 9 + 1, 26_327),
+                   (10 ** 9 + 7, 26_327), (3 * 10 ** 9, 45_600), (10 ** 10, 83_255)]:
+        assert B.rmax("T5", BoundQuery(n=n)) == list(range(1, top + 1)), n
+        assert _exact_applies("T5", n, top) and not _exact_applies("T5", n, top + 1), n
 
 
 # -- binomial comparisons --------------------------------------------------------
@@ -336,6 +377,26 @@ def test_peel_deterministic_tie_break():
     g = Graph(6, [(0, 2), (0, 3), (1, 4), (1, 5), (0, 1)])
     rep = B.peel(g, 3)
     assert rep.removed[0][0] == 0
+
+
+def test_peel_matches_recounting_every_degree():
+    # the reference recounts every live degree before each removal
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        g = Graph(n, H.random_graph_edges(rng, n, rng.randint(0, 3 * n)))
+        for threshold in range(1, 7):
+            alive, removed = g.vertex_mask, []
+            while True:
+                degs = {v: (g.adj[v] & alive).bit_count() for v in range(n) if alive >> v & 1}
+                v = min(degs, key=lambda u: (-degs[u], u), default=None)
+                if v is None or degs[v] < threshold:
+                    break
+                removed.append((v, degs[v]))
+                alive ^= 1 << v
+            rep = B.peel(g, threshold)
+            assert rep.removed == tuple(removed), (g.edges(), threshold)
+            assert rep.kept == tuple(v for v in range(n) if alive >> v & 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,13 +514,19 @@ def test_import_does_not_load_mpmath():
     # mpmath is imported on first use, so that importing ekrkit stays cheap
     src = os.path.dirname(os.path.dirname(ekrkit.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # and T5/T6 answers decided in floats leave it unloaded until a threshold is read
     code = ("import sys, ekrkit\n"
-            "before = 'mpmath' in sys.modules\n"
-            "ekrkit.hypothesis('T5', ekrkit.BoundQuery(n=16, r=2))\n"
-            "print(before, 'mpmath' in sys.modules)")
+            "loaded = ['mpmath' in sys.modules]\n"
+            "apps = [ekrkit.hypothesis('T5', ekrkit.BoundQuery(n=16, r=2)),\n"
+            "        ekrkit.hypothesis('T6', ekrkit.BoundQuery(n=143, r=5, s=2))]\n"
+            "assert [app.applicable for app in apps] == [True, True]\n"
+            "loaded.append('mpmath' in sys.modules)\n"
+            "assert apps[0].threshold_r.startswith('2.983')\n"
+            "loaded.append('mpmath' in sys.modules)\n"
+            "print(*loaded)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "False True\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False False True\n"), proc.stderr
 
 
 def test_binom_walk_matches_binom():

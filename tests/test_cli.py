@@ -217,7 +217,8 @@ def test_grid_all_csv_is_pinned(tmp_path):
 
 
 def test_grid_csv_memory_stays_small(tmp_path):
-    bounds.hypothesis("T5", bounds.BoundQuery(n=10, r=1))  # import mpmath outside the trace
+    # import mpmath outside the trace
+    bounds.hypothesis("T5", bounds.BoundQuery(n=10, r=1)).threshold_r
     tracemalloc.start()
     try:
         assert main(["grid", "--suite", "binoms", "--out", str(tmp_path / "b.csv")]) == 0
