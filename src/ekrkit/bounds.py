@@ -237,8 +237,8 @@ def _r_max_below_threshold(n: int, c: Fraction) -> int:
 
 # _applies decides in floats for n <= _FLOAT_N_MAX and r <= _FLOAT_R_MAX, unless
 # the float gap to the threshold is within _FLOAT_BAND
-_FLOAT_N_MAX = 10 ** 9
-_FLOAT_R_MAX = 10 ** 4
+_FLOAT_N_MAX = 10 ** 12
+_FLOAT_R_MAX = 10 ** 6
 _FLOAT_BAND = 1e-7
 _MARGIN_FLOAT = float(MARGIN)
 
@@ -249,17 +249,17 @@ def _applies(theorem: str, n: int, r: int, s: int = 0) -> bool:
 
     With x = c - 1 = (r - 2s)/r, the answer is g > 0, where
     g = sqrt(n ln c) - (ln c)/2 - MARGIN - r.  For n <= _FLOAT_N_MAX and
-    r <= _FLOAT_R_MAX, g computed in floats is within 2e-11 of the real g:
+    r <= _FLOAT_R_MAX, g computed in floats is within 6e-10 of the real g:
     - x is one correctly rounded division (relative error u = 2**-53); log1p
       turns that into at most u relatively, as ln(1 + x) >= x/(1 + x), and adds
       at most 1 ulp (2u) of its own, so ln c is within 3u relatively;
     - n and r are exact floats; n ln c adds u, and the square root halves the
-      error and adds u, so sqrt(n ln c) <= sqrt(1e9 ln 2) < 26,400 is within 4u
-      relatively, under 1.2e-11;
+      error and adds u, so sqrt(n ln c) <= sqrt(1e12 ln 2) < 832,555 is within
+      4u relatively, under 3.7e-10;
     - (ln c)/2 is within 3e-16 and float(MARGIN) within 1e-24, and each of the
-      three subtractions rounds a value under 2**15 by at most half an ulp,
-      1.9e-12.
-    So |g| > _FLOAT_BAND = 1e-7 fixes the sign with three orders of magnitude to
+      three subtractions rounds a value under 2**20 (r <= 1e6 included) by at
+      most half an ulp, 2**-34 < 5.9e-11.
+    So |g| > _FLOAT_BAND = 1e-7 fixes the sign with two orders of magnitude to
     spare; every other query is decided at 120 bits by _r_max_below_threshold.
     """
     if theorem == "T6" and not 0 < 2 * s < r:
@@ -343,19 +343,17 @@ def rmax(theorem: str, q: BoundQuery) -> list[int]:
 
 # -- binomial comparison checks ----------------------------------------
 
-def binoms_ineq_check(n: int, r: int, hyp: Optional[bool] = None) -> IneqResult:
+def binoms_ineq_check(n: int, r: int) -> IneqResult:
     """C(n-1, r-1) < 2 C(n-r-1, r-1); hypothesis is the T5 range for r."""
-    if hyp is None:
-        hyp = hypothesis("T5", BoundQuery(n=n, r=r)).applicable
+    hyp = hypothesis("T5", BoundQuery(n=n, r=r)).applicable
     lhs = binom(n - 1, r - 1)
     rhs = 2 * binom(n - r - 1, r - 1)
     return IneqResult("binom-doubling", f"n={n};r={r}", lhs, rhs, lhs < rhs, hyp)
 
 
-def binoms2_ineq_check(n: int, r: int, s: int, hyp: Optional[bool] = None) -> IneqResult:
+def binoms2_ineq_check(n: int, r: int, s: int) -> IneqResult:
     """C(n-1,r-1) <= C(n-r-1,r-1) + C(n-r-s,r-1); hypothesis 1 < s plus T6."""
-    if hyp is None:
-        hyp = s > 1 and hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable
+    hyp = s > 1 and hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable
     lhs = binom(n - 1, r - 1)
     rhs = binom(n - r - 1, r - 1) + binom(n - r - s, r - 1)
     return IneqResult("binom-split", f"n={n};r={r};s={s}", lhs, rhs, lhs <= rhs, hyp)
@@ -461,11 +459,11 @@ def _lagged_walks(m: int, k: int, *leads: int) -> tuple[Iterator[int], ...]:
     return walks
 
 
-def _degree_product_rows(r_lo=2, r_hi=8, d_lo=2, d_hi=8, span=200):
-    for r in range(r_lo, r_hi + 1):
-        for d in range(d_lo, d_hi + 1):
+def _degree_product_rows():
+    for r in range(2, 9):
+        for d in range(2, 9):
             n0 = -(-27 * d * r * r // 8)  # ceil
-            for n in range(n0, n0 + span):
+            for n in range(n0, n0 + 200):
                 yield _row(check_degree_product(r, d, n))
 
 
@@ -483,51 +481,55 @@ def _min_admissible_n(applicable, n_max: int):
     return lo
 
 
-def _binoms_rows(n_max=5000):
-    # binoms_ineq_check over {n <= n_max, r in rmax(T5, n)}, grouped by r so the
+_GRID_N_MAX = 5000  # the binoms and binoms2 suites run n up to here
+
+
+def _binoms_rows():
+    # binoms_ineq_check over {n <= _GRID_N_MAX, r in rmax(T5, n)}, grouped by r so the
     # threshold is bisected once per r and C(n-1, r-1) is walked along n; the
     # rhs's C(n-r-1, r-1) is the same walk r steps back
     r = 1
     while True:
-        n0 = _min_admissible_n(lambda n: _applies("T5", n, r), n_max)
+        n0 = _min_admissible_n(lambda n: _applies("T5", n, r), _GRID_N_MAX)
         if n0 is None:
             return
         lhs_walk, half_walk = _lagged_walks(n0 - r - 1, r - 1, r, 0)
-        for n, lhs, half in zip(range(n0, n_max + 1), lhs_walk, half_walk):
+        for n, lhs, half in zip(range(n0, _GRID_N_MAX + 1), lhs_walk, half_walk):
             yield "binom-doubling", f"n={n};r={r}", str(lhs), str(2 * half), lhs < 2 * half
         r += 1
 
 
-def _binoms2_rows(n_max=5000, s_lo=2, s_hi=5, r_cap=16):
-    # binoms2_ineq_check on the T6 range, walked along n like _binoms_rows:
-    # C(n-r-1, r-1) and C(n-r-s, r-1) are C(n-1, r-1) r and r+s-1 steps back
-    for s in range(s_lo, s_hi + 1):
-        for r in range(2 * s + 1, r_cap + 1):
-            n0 = _min_admissible_n(lambda n: _applies("T6", n, r, s), n_max)
+def _binoms2_rows():
+    # binoms2_ineq_check on the T6 range for 2 <= s <= 5 and r <= 16, walked along
+    # n like _binoms_rows: C(n-r-1, r-1) and C(n-r-s, r-1) are C(n-1, r-1) r and
+    # r+s-1 steps back
+    for s in range(2, 6):
+        for r in range(2 * s + 1, 17):
+            n0 = _min_admissible_n(lambda n: _applies("T6", n, r, s), _GRID_N_MAX)
             if n0 is None:
                 continue
             walks = _lagged_walks(n0 - r - s, r - 1, r + s - 1, s - 1, 0)
-            for n, lhs, a, b in zip(range(n0, n_max + 1), *walks):
+            for n, lhs, a, b in zip(range(n0, _GRID_N_MAX + 1), *walks):
                 yield "binom-split", f"n={n};r={r};s={s}", str(lhs), str(a + b), lhs <= a + b
 
 
-def _hm_identity_rows(n_max=60):
-    for n in range(2, n_max + 1):
+def _hm_identity_rows():
+    for n in range(2, 61):
         for r in range(1, n):
             yield ("hm-identity", f"n={n};r={r}", str(hm_bound(n, r)),
                    str(hm_bound_sum_form(n, r)), hm_identity_check(n, r))
 
 
-def _estimates_rows(k_max=10, samples=100):
-    """Interior sampling of both exponential estimates, 100 points per k."""
+def _estimates_rows():
+    """Interior sampling of both exponential estimates, 100 points per k <= 10."""
     eps = Fraction(1, 10 ** 6)
     nstr = functools.partial(_mpmath().nstr, n=17)
-    for k in range(1, k_max + 1):
+    for k in range(1, 11):
         x_hi = Fraction(2 * k, (k + 1) ** 2)
         y_hi = Fraction(2 * k * k, (k + 1) ** 3)
-        for j in range(1, samples + 1):
-            x = eps + (x_hi - eps) * Fraction(j, samples)
-            y = eps + (y_hi - eps) * Fraction(j, samples)
+        for j in range(1, 101):
+            x = eps + (x_hi - eps) * Fraction(j, 100)
+            y = eps + (y_hi - eps) * Fraction(j, 100)
             yield _row(check_exp_linear(x, k), nstr)
             yield _row(check_one_minus_exp(y, k), nstr)
 
@@ -542,19 +544,17 @@ _SUITES = {
 GRID_SUITES = tuple(_SUITES)
 
 
-def _suite_rows(suite: str, **kw) -> Iterator[tuple]:
+def _suite_rows(suite: str) -> Iterator[tuple]:
     if suite == "all":
-        if kw:
-            raise GraphError(f"suite 'all' takes no parameters, got {', '.join(sorted(kw))}")
         return itertools.chain.from_iterable(rows() for rows in _SUITES.values())
     if suite not in _SUITES:
         raise GraphError(f"unknown grid suite {suite!r}; known: all, {', '.join(GRID_SUITES)}")
-    return _SUITES[suite](**kw)
+    return _SUITES[suite]()
 
 
-def run_grid(suite: str, **kw) -> list[GridRow]:
+def run_grid(suite: str) -> list[GridRow]:
     """Every row of one suite, or of all of them in GRID_SUITES order for "all"."""
-    return list(map(GridRow._make, _suite_rows(suite, **kw)))
+    return list(map(GridRow._make, _suite_rows(suite)))
 
 
 _CSV_HEADER = "theorem-id,parameters,lhs,rhs,holds\n"

@@ -18,30 +18,16 @@ TREE_DP = "tree-dp"
 CLOSED_FORM = "closed-form"
 
 
-@dataclass(frozen=True)
-class FamilyQuery:
-    """Which independent r-sets to enumerate or count.
-
-    anchor: vertex every set must contain (or None).
-    forbidden: mask of vertices no set may touch.
-    """
-
-    graph: Graph
-    r: int
-    anchor: Optional[int] = None
-    forbidden: int = 0
-
-    def __post_init__(self):
-        g = self.graph
-        if not 0 <= self.r <= g.n:
-            raise GraphError(f"set size r={self.r} out of range for n={g.n}")
-        if self.anchor is not None:
-            if not 0 <= self.anchor < g.n:
-                raise GraphError(f"anchor {self.anchor} out of range")
-            if self.forbidden >> self.anchor & 1:
-                raise GraphError("anchor vertex is also forbidden")
-        if self.forbidden & ~g.vertex_mask:
-            raise GraphError("forbidden mask mentions vertices outside the graph")
+def _check_anchor(g: Graph, anchor: Optional[int], forbidden: int) -> None:
+    """GraphError unless anchor (if given) is a vertex of g outside forbidden,
+    and forbidden is a mask of g's vertices."""
+    if anchor is not None:
+        if not 0 <= anchor < g.n:
+            raise GraphError(f"anchor {anchor} out of range")
+        if forbidden >> anchor & 1:
+            raise GraphError("anchor vertex is also forbidden")
+    if forbidden & ~g.vertex_mask:
+        raise GraphError("forbidden mask mentions vertices outside the graph")
 
 
 @dataclass(frozen=True)
@@ -70,20 +56,11 @@ def _colex_rsets(adj, allowed: int, r: int) -> Iterator[int]:
         m ^= low
 
 
-def enum_independent_rsets(q: FamilyQuery) -> Iterator[int]:
-    """Stream the independent r-sets of the query in ascending bitset order."""
-    g = q.graph
-    allowed = g.vertex_mask & ~q.forbidden
-    if q.anchor is None:
-        yield from _colex_rsets(g.adj, allowed, q.r)
-        return
-    if q.r == 0:
-        return  # the empty set does not contain the anchor
-    v = q.anchor
-    allowed &= ~(g.adj[v] | 1 << v)
-    vbit = 1 << v
-    for rest in _colex_rsets(g.adj, allowed, q.r - 1):
-        yield rest | vbit
+def enum_independent_rsets(g: Graph, r: int) -> Iterator[int]:
+    """Stream the independent r-sets of g in ascending bitset order."""
+    if not 0 <= r <= g.n:
+        raise GraphError(f"set size r={r} out of range for n={g.n}")
+    return _colex_rsets(g.adj, g.vertex_mask, r)
 
 
 def all_independent_sets(g: Graph) -> list[int]:
@@ -111,11 +88,12 @@ def indep_size_counts(g: Graph, anchor: Optional[int] = None, forbidden: int = 0
 
     Subset branching in ascending vertex order; every independent set is
     visited exactly once, so the cost is proportional to the total count.
-    anchor and forbidden follow FamilyQuery's rules.
+    anchor must be a vertex outside the vertex mask forbidden, and forbidden
+    may mention only vertices of g; a negative max_size raises GraphError.
     """
-    FamilyQuery(g, 0, anchor, forbidden)  # validates anchor and forbidden
+    _check_anchor(g, anchor, forbidden)
     adj = g.adj
-    cap = g.n if max_size is None else max_size
+    cap = _checked_cap(g, max_size)
     allowed = g.vertex_mask & ~forbidden
     base = 0
     if anchor is not None:
@@ -289,7 +267,9 @@ def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int =
     under every method; r < 0, an anchor outside g or inside `forbidden`, and
     a forbidden vertex outside g raise GraphError.
     """
-    FamilyQuery(g, min(r, g.n), anchor, forbidden)  # validates all but r > n
+    if r < 0:
+        raise GraphError(f"set size r={r} out of range for n={g.n}")
+    _check_anchor(g, anchor, forbidden)
     if method == "auto":
         tree = anchor is not None and not forbidden and g.is_forest()
         method = TREE_DP if tree else ENUMERATION
@@ -310,13 +290,13 @@ def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int =
     raise GraphError(f"unknown counting method {method!r}")
 
 
-def star_size(g: Graph, v: int, r: int, method: str = "auto") -> CountResult:
+def star_size(g: Graph, v: int, r: int) -> CountResult:
     """s_r(v): exact count of independent r-sets containing v."""
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
     if not 0 <= r <= g.n:
         raise GraphError(f"r={r} out of range")
-    return count_rsets(g, r, anchor=v, method=method)
+    return count_rsets(g, r, anchor=v)
 
 
 # -- path-merge surgeries ----------------------------------------------

@@ -40,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .families import (FamilyQuery, _star_column, all_independent_sets,
-                       enum_independent_rsets)
+from .families import _star_column, all_independent_sets, enum_independent_rsets
 from .graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, bit_list,
                      iter_bits)
 
@@ -281,7 +280,7 @@ def _candidates(g: Graph, r: Optional[int]) -> list[int]:
         return all_independent_sets(g)
     if not isinstance(r, int) or r < 1:
         raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
-    cands = list(enum_independent_rsets(FamilyQuery(graph=g, r=r)))
+    cands = list(enum_independent_rsets(g, r))
     if not cands:
         raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
     return cands

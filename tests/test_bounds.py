@@ -1,5 +1,5 @@
-import functools
 import hashlib
+import itertools
 import io
 import json
 import os
@@ -271,10 +271,10 @@ def test_applies_defers_near_the_threshold_and_outside_its_domain(monkeypatch):
         ("T6", 96_836, 174, 55, True),
         # further from the threshold, the float answer stands
         ("T5", 6_670_008, 2150, 0, False), ("T6", 4859, 50, 8, False),
-        # edges of the float domain (at n = 1e9 the T5 threshold is near 26,327)
+        # edges of the float domain (at n = 1e12 the T5 threshold is near 832,554.3)
         ("T5", n_max, r_max, 0, False), ("T5", n_max + 1, r_max, 0, True),
-        ("T5", n_max, r_max + 1, 0, True), ("T5", n_max, 26_327, 0, True),
-        ("T5", n_max, 26_328, 0, True), ("T6", n_max, r_max, r_max // 2 - 1, False),
+        ("T5", n_max, r_max + 1, 0, True), ("T5", n_max, 832_554, 0, False),
+        ("T5", n_max, 832_555, 0, False), ("T6", n_max, r_max, r_max // 2 - 1, False),
         ("T6", n_max, r_max + 1, 1, True), ("T6", n_max + 1, 3, 1, True),
         ("T5", 0, 1, 0, False), ("T6", 0, 3, 1, False), ("T6", n_max, 4, 2, False),
     ]:
@@ -306,11 +306,25 @@ def test_rmax_t5_closed_form_matches_the_loop():
             want.append(r)
             r += 1
         assert B.rmax("T5", BoundQuery(n=n)) == want, n
-    # past _FLOAT_N_MAX; the tops were found with the per-r loop (seconds at these n)
+    # large n; the tops were found with the per-r loop (seconds at these n)
     for n, top in [(10 ** 9 - 1, 26_327), (10 ** 9, 26_327), (10 ** 9 + 1, 26_327),
                    (10 ** 9 + 7, 26_327), (3 * 10 ** 9, 45_600), (10 ** 10, 83_255)]:
         assert B.rmax("T5", BoundQuery(n=n)) == list(range(1, top + 1)), n
         assert _exact_applies("T5", n, top) and not _exact_applies("T5", n, top + 1), n
+
+
+def test_rmax_t6_matches_the_120_bit_answer_at_large_n():
+    # these n decide every r in floats: compare the range with the 120-bit oracle
+    # at both ends, just outside them, and at 200 seeded r in between
+    rng = random.Random(20)
+    for n in (10 ** 9 + 1, 10 ** 10, 10 ** 12):
+        for s in (1, 2):
+            got = B.rmax("T6", BoundQuery(n=n, s=s))
+            lo, hi = got[0], got[-1]
+            assert got == list(range(lo, hi + 1)) and lo == 2 * s + 1, (n, s)
+            for r in (lo, hi, *rng.sample(range(lo + 1, hi), 200)):
+                assert _exact_applies("T6", n, r, s), (n, r, s)
+            assert not _exact_applies("T6", n, hi + 1, s), (n, s)
 
 
 # -- binomial comparisons --------------------------------------------------------
@@ -417,15 +431,23 @@ def test_peel_invariants_property(n, data):
 
 # -- grids -------------------------------------------------------------------------
 
+def _small_rows(suite, **caps):
+    """The rows of the suite whose named integer parameters are all <= their caps."""
+    def small(row):
+        params = dict(p.split("=") for p in row.parameters.split(";"))
+        return all(int(params[name]) <= cap for name, cap in caps.items())
+    return [row for row in B.run_grid(suite) if small(row)]
+
+
 def test_grid_degree_product_small():
-    rows = B.run_grid("degree-product", r_lo=2, r_hi=3, d_lo=2, d_hi=3, span=10)
-    assert len(rows) == 4 * 10
+    rows = _small_rows("degree-product", r=3, d=3)
+    assert len(rows) == 4 * 200
     assert all(r.holds for r in rows)
     assert rows[0].theorem_id == "degree-product"
 
 
 def test_grid_binoms_small():
-    rows = B.run_grid("binoms", n_max=60)
+    rows = _small_rows("binoms", n=60)
     assert rows and all(r.holds for r in rows)
     # spot check membership matches the threshold rule
     names = {r.parameters for r in rows}
@@ -433,26 +455,26 @@ def test_grid_binoms_small():
 
 
 def test_grid_binoms2_small():
-    rows = B.run_grid("binoms2", n_max=200)
+    rows = _small_rows("binoms2", n=200)
     assert rows and all(r.holds for r in rows)
     assert all(r.theorem_id == "binom-split" for r in rows)
 
 
 def test_grid_hm_identity_small():
-    rows = B.run_grid("hm-identity", n_max=12)
+    rows = _small_rows("hm-identity", n=12)
     assert all(r.holds for r in rows)
     assert len(rows) == sum(n - 1 for n in range(2, 13))
 
 
 def test_grid_estimates_small():
-    rows = B.run_grid("estimates", k_max=2, samples=6)
-    assert len(rows) == 2 * 2 * 6
+    rows = _small_rows("estimates", k=2)
+    assert len(rows) == 2 * 2 * 100
     assert all(r.holds for r in rows)
 
 
 def test_run_grid_and_csv():
-    rows = B.run_grid("hm-identity", n_max=6)
-    assert len(rows) == sum(n - 1 for n in range(2, 7)) and all(r.holds for r in rows)
+    rows = B.run_grid("hm-identity")
+    assert len(rows) == sum(n - 1 for n in range(2, 61)) and all(r.holds for r in rows)
     out = io.StringIO()
     B.write_grid_csv("hm-identity", out)
     lines = out.getvalue().splitlines()
@@ -462,12 +484,6 @@ def test_run_grid_and_csv():
         rows[0].holds = False  # rows are immutable
     with pytest.raises(GraphError):
         B.run_grid("nope")
-
-
-def test_run_grid_all_rejects_parameters():
-    # the suites take different parameters, so "all" runs each at its defaults
-    with pytest.raises(GraphError, match="n_max"):
-        B.run_grid("all", n_max=6)
 
 
 def test_write_grid_csv_streams_the_same_text():
@@ -483,20 +499,11 @@ def test_write_grid_csv_streams_the_same_text():
     assert out.getvalue() == ""
 
 
-_SMALL_SUITES = {
-    "degree-product": dict(r_lo=2, r_hi=3, d_lo=2, d_hi=3, span=5),
-    "binoms": dict(n_max=60),
-    "binoms2": dict(n_max=200),
-    "hm-identity": dict(n_max=8),
-    "estimates": dict(k_max=2, samples=3),
-}
-
-
 @pytest.mark.parametrize("suite", B.GRID_SUITES)
 def test_grid_writers_match_run_grid_rows(monkeypatch, suite):
-    # the writers take no parameters, so shrink the suite where they look it up
-    monkeypatch.setitem(B._SUITES, suite, functools.partial(B._SUITES[suite],
-                                                            **_SMALL_SUITES[suite]))
+    # shrink the suite to a prefix of its rows where the writers look it up
+    rows_of = B._SUITES[suite]
+    monkeypatch.setitem(B._SUITES, suite, lambda: itertools.islice(rows_of(), 60))
     rows = B.run_grid(suite)
     assert rows and all(type(row) is B.GridRow for row in rows)
     out = io.StringIO()
@@ -542,17 +549,16 @@ def _pointwise_row(res):
 
 
 def test_grid_walks_match_pointwise_checks():
-    n_max = 400
-    want = sorted((r, n) for n in range(1, n_max + 1) for r in B.rmax("T5", BoundQuery(n=n)))
-    assert B.run_grid("binoms", n_max=n_max) == [
-        _pointwise_row(B.binoms_ineq_check(n, r, hyp=True)) for r, n in want]
-    n_max, r_cap = 600, 16
-    want = [(s, r, n) for s in range(1, r_cap // 2 + 1) for r in range(2 * s + 1, r_cap + 1)
-            for n in range(1, n_max + 1)
+    # every row of the production suites with n <= 400 (binoms) or n <= 600 (binoms2)
+    want = sorted((r, n) for n in range(1, 401) for r in B.rmax("T5", BoundQuery(n=n)))
+    assert _small_rows("binoms", n=400) == [
+        _pointwise_row(B.binoms_ineq_check(n, r)) for r, n in want]
+    want = [(s, r, n) for s in range(2, 6) for r in range(2 * s + 1, 17)
+            for n in range(1, 601)
             if B.hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable]
-    assert {s for s, _, _ in want} == {1, 2, 3, 4}  # s >= 5 needs n > 600
-    assert B.run_grid("binoms2", n_max=n_max, s_lo=1, s_hi=r_cap // 2, r_cap=r_cap) == [
-        _pointwise_row(B.binoms2_ineq_check(n, r, s, hyp=True)) for s, r, n in want]
+    assert {s for s, _, _ in want} == {2, 3, 4}  # s = 5 needs n > 600
+    assert _small_rows("binoms2", n=600) == [
+        _pointwise_row(B.binoms2_ineq_check(n, r, s)) for s, r, n in want]
 
 
 def test_degree_product_matches_factor_product():

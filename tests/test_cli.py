@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import tracemalloc
@@ -464,7 +465,7 @@ def test_subcommand_options_are_pinned():
 # every public name of the package: adding or removing one changes this list
 PUBLIC_NAMES = [
     "Applicability", "BUDGET_EXCEEDED", "BoundQuery", "CountResult", "EKR", "EkrReport",
-    "FREE_TREE_COUNTS", "FamilyQuery", "GeneratorError", "Graph", "Graph6Error",
+    "FREE_TREE_COUNTS", "GeneratorError", "Graph", "Graph6Error",
     "GraphError", "GridRow", "HkReport", "IneqResult", "MAX_VERTICES", "NOT_EKR",
     "PathMerge", "PeelReport", "STRICTLY_EKR", "SearchBudget", "SpiderOrderReport",
     "SpiderSpec", "SweepFinding", "SweepSummary", "all_independent_sets",
@@ -488,6 +489,109 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(ekrkit.__all__) == PUBLIC_NAMES
+
+
+# the parameters of every public callable, without annotations: adding, removing
+# or renaming a parameter or changing a default changes this table; the exception
+# classes inherit a constructor that inspect cannot read
+PUBLIC_SIGNATURES = {
+    'Applicability': '(theorem, applicable, conditions, n=None, c=None)',
+    'BoundQuery': '(n=None, r=None, d=None, c_density=None, s=None)',
+    'CountResult': '(count, method)',
+    'EkrReport': ('(r, verdict, max_star_vertex, max_star_size, max_intersecting_size, '
+                  'witness, nodes_explored)'),
+    'GeneratorError': None,
+    'Graph': "(n, edges=(), label='')",
+    'Graph6Error': '(kind, message)',
+    'GraphError': None,
+    'GridRow': '(theorem_id, parameters, lhs, rhs, holds)',
+    'HkReport': '(r, holds, best_vertex, best_is_leaf, star_sizes)',
+    'IneqResult': '(name, params, lhs, rhs, holds, hypothesis_ok, boundary=False)',
+    'PathMerge': '(graph, order, junctions, source, removed, marked_position=-1)',
+    'PeelReport': '(source, threshold, t, removed, kept, residual)',
+    'SearchBudget': '(max_nodes=10000000)',
+    'SpiderOrderReport': '(r, legs, order, ok, violations, star_sizes)',
+    'SpiderSpec': '(legs)',
+    'SweepFinding': '(n, r, certificate, graph6, verdict, detail)',
+    'SweepSummary': ('(property, n_max, labeled_seen, unique_graphs, checks, findings, '
+                     'budget_exceeded)'),
+    'all_independent_sets': '(g)',
+    'automorphism_generators': '(g, setwise=0)',
+    'big_star_lower': '(n, r, d, k)',
+    'binom': '(a, b)',
+    'binoms2_ineq_check': '(n, r, s)',
+    'binoms_ineq_check': '(n, r)',
+    'bit_list': '(mask)',
+    'check_degree_product': '(r, d, n)',
+    'check_exp_linear': '(x, k)',
+    'check_one_minus_exp': '(y, k)',
+    'claim_star_lower': '(n, d, r)',
+    'count_path_rsets': '(m, r)',
+    'count_rsets': "(g, r, anchor=None, forbidden=0, method='auto')",
+    'ekr_bound': '(n, r)',
+    'emit_graph6': '(g)',
+    'enum_independent_rsets': '(g, r)',
+    'frankl_bound': '(n, r)',
+    'free_trees': '(n)',
+    'generate': '(spec)',
+    'hm_bound': '(n, r)',
+    'hm_bound_sum_form': '(n, r)',
+    'hm_identity_check': '(n, r)',
+    'hypothesis': '(theorem, q)',
+    'indep_size_counts': '(g, anchor=None, forbidden=0, max_size=None)',
+    'indep_size_counts_tree_dp': '(g, max_size=None)',
+    'is_intersecting': '(family)',
+    'is_r_ekr': '(g, r, budget=None)',
+    'is_r_hk': '(t, r)',
+    'is_strictly_r_ekr': '(g, r, budget=None)',
+    'iter_bits': '(mask)',
+    'mask_of': '(vertices)',
+    'max_independent_set_size': '(g)',
+    'max_nonstar_intersecting': '(g, r, budget=None)',
+    'merge_paths': '(spec, mode)',
+    'merge_tree_paths': '(t, removed)',
+    'min_maximal_independent_set_size': '(g)',
+    'nonuniform_ekr': '(g, budget=None)',
+    'parse_edge_list': '(text)',
+    'parse_graph6': '(text)',
+    'peel': '(g, threshold)',
+    'peel_bound_check': '(report, c, r)',
+    'peel_certificates_ok': '(report)',
+    'prufer_decode': '(seq, n)',
+    'read_graph6_lines': '(text)',
+    'rmax': '(theorem, q)',
+    'run_grid': '(suite)',
+    'search_catalog': '(prop, graphs, r_max=None, budget=None, on_finding=None)',
+    'search_trees': '(prop, n_max, r_max=None, budget=None, n_min=2, on_finding=None)',
+    'spider_order': '(legs)',
+    'spider_order_check': '(spec, r)',
+    'spider_star_lower': '(n, k, r)',
+    'split_star_lower': '(n, s, r)',
+    'splitstar_witness': '(merged, a_mask, junction=0)',
+    'star_center': '(family)',
+    'star_size': '(g, v, r)',
+    'star_vector_tree_dp': '(g, v, max_size=None)',
+    'star_vectors_tree_dp': '(g, max_size=None)',
+    'tree_certificate': '(n, edges)',
+    'write_grid_csv': '(suite, stream)',
+    'write_grid_json': '(suite, stream)',
+}
+
+
+def _bare_signature(obj):
+    try:
+        sig = inspect.signature(obj)
+    except ValueError:
+        return None
+    return str(sig.replace(parameters=[p.replace(annotation=p.empty)
+                                       for p in sig.parameters.values()],
+                           return_annotation=sig.empty))
+
+
+def test_public_signatures_are_pinned():
+    got = {name: _bare_signature(getattr(ekrkit, name))
+           for name in sorted(ekrkit.__all__) if callable(getattr(ekrkit, name))}
+    assert got == PUBLIC_SIGNATURES
 
 
 # -- goldens: stdout bytes of every README command -------------------------------
@@ -579,7 +683,6 @@ class _Sha256Stdout:
 def test_cli_goldens(monkeypatch, tmp_path, command, code, digest):
     (tmp_path / "catalog.txt").write_text("kpartite:3,3\nEFz_\n", encoding="ascii")
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EKRKIT_MAX_NODES", raising=False)
     stdout = _Sha256Stdout()
     monkeypatch.setattr(cli.sys, "stdout", stdout)
     assert main(command.split()) == code

@@ -13,7 +13,6 @@ from ekrkit.families import (
     ENUMERATION,
     TREE_DP,
     CountResult,
-    FamilyQuery,
     all_independent_sets,
     count_path_rsets,
     count_rsets,
@@ -44,38 +43,43 @@ def test_enum_matches_brute_force_on_random_graphs():
         edges = H.random_graph_edges(rng, n, rng.randint(0, 2 * n))
         g = Graph(n, edges)
         for r in range(0, min(n, 5) + 1):
-            got = list(enum_independent_rsets(FamilyQuery(graph=g, r=r)))
+            got = list(enum_independent_rsets(g, r))
             assert got == H.brute_independent_rsets(n, edges, r)
             assert got == sorted(got)  # ascending bitset order
 
 
 def test_enum_anchor_and_forbidden():
+    # the anchored and restricted counts of the enumeration route, against the
+    # brute-force r-sets that contain the anchor and avoid the forbidden mask
     g = generate("path:6")
-    anchored = list(enum_independent_rsets(FamilyQuery(graph=g, r=2, anchor=0)))
-    assert anchored == [H.mask([0, v]) for v in (2, 3, 4, 5)]
-    restricted = list(enum_independent_rsets(
-        FamilyQuery(graph=g, r=2, forbidden=H.mask([4, 5]))))
-    assert all(not m & H.mask([4, 5]) for m in restricted)
-    brute = [m for m in H.brute_independent_rsets(6, g.edges(), 2)
-             if not m & H.mask([4, 5])]
-    assert restricted == brute
+    assert indep_size_counts(g, anchor=0, max_size=2) == [0, 1, 4]  # {0}; {0, 2..5}
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        edges = H.random_graph_edges(rng, n, rng.randint(0, 2 * n))
+        g = Graph(n, edges)
+        anchor = rng.choice([None, *range(n)])
+        forbidden = rng.getrandbits(n) & ~(0 if anchor is None else 1 << anchor)
+        want = [sum(1 for m in H.brute_independent_rsets(n, edges, r)
+                    if not m & forbidden and (anchor is None or m >> anchor & 1))
+                for r in range(n + 1)]
+        assert indep_size_counts(g, anchor, forbidden) == want, (n, edges, anchor, forbidden)
 
 
-def test_family_query_validation():
+def test_anchor_and_forbidden_validation():
     g = generate("path:4")
-    with pytest.raises(GraphError):
-        FamilyQuery(graph=g, r=-1)
-    with pytest.raises(GraphError):
-        FamilyQuery(graph=g, r=5)
-    with pytest.raises(GraphError):
-        FamilyQuery(graph=g, r=2, anchor=9)
-    with pytest.raises(GraphError):
-        FamilyQuery(graph=g, r=2, anchor=1, forbidden=H.mask([1]))
-    # indep_size_counts takes anchor and forbidden by the same rules
+    for r in (-1, 5):
+        with pytest.raises(GraphError, match=f"set size r={r} out of range for n=4"):
+            enum_independent_rsets(g, r)
+    # indep_size_counts and count_rsets take anchor and forbidden by the same rules
     for kw in (dict(anchor=9), dict(anchor=-1), dict(forbidden=H.mask([9])),
                dict(forbidden=-1), dict(anchor=1, forbidden=H.mask([1]))):
         with pytest.raises(GraphError):
             indep_size_counts(g, **kw)
+        with pytest.raises(GraphError):
+            count_rsets(g, 2, **kw)
+    with pytest.raises(GraphError, match="set size r=-1 out of range for n=4"):
+        count_rsets(g, -1)
     assert indep_size_counts(g, anchor=0, forbidden=H.mask([2])) == [0, 1, 1, 0, 0]
 
 
@@ -226,11 +230,12 @@ def test_star_vectors_validation():
         star_vectors_tree_dp(generate("path:4"), 5)
     with pytest.raises(GraphError):
         star_vectors_tree_dp(generate("path:4"), -1)
-    # a negative cap is the same error on all three routes
+    # a negative cap is the same error on the three tree-DP routes and on enumeration
     p4 = generate("path:4")
     for route in (lambda cap: star_vectors_tree_dp(p4, cap),
                   lambda cap: star_vector_tree_dp(p4, 1, cap),
-                  lambda cap: indep_size_counts_tree_dp(p4, cap)):
+                  lambda cap: indep_size_counts_tree_dp(p4, cap),
+                  lambda cap: indep_size_counts(p4, max_size=cap)):
         for cap in (-1, -3):
             with pytest.raises(GraphError, match=f"r={cap} out of range"):
                 route(cap)
@@ -296,7 +301,7 @@ def test_star_size_methods_agree_and_tag():
     g = generate("spider:2,2,2")
     assert [star_size(g, v, 2).count for v in range(7)] == [3, 4, 5, 4, 5, 4, 5]
     assert star_size(g, 2, 2).method == TREE_DP  # forests default to the DP
-    assert star_size(g, 2, 2, method=ENUMERATION).count == 5
+    assert count_rsets(g, 2, anchor=2, method=ENUMERATION).count == 5
     c = generate("cycle:6")
     assert star_size(c, 0, 2).method == ENUMERATION
     assert star_size(c, 0, 2).count == 3

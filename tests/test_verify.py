@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekrkit.verify as V
-from ekrkit.families import (TREE_DP, FamilyQuery, all_independent_sets,
-                             enum_independent_rsets, star_size)
+from ekrkit.families import TREE_DP, all_independent_sets, count_rsets, enum_independent_rsets
 from ekrkit.graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, generate,
                            max_independent_set_size)
 from ekrkit.treegen import free_trees
@@ -37,14 +36,14 @@ def _engine_cases():
         g = Graph(n, H.random_graph_edges(rng, n, rng.randint(0, n)))
         cases.append((g, rng.choice([2, 3])))
     def n_cands(g, r):
-        return sum(1 for _ in enum_independent_rsets(FamilyQuery(g, r)))
+        return sum(1 for _ in enum_independent_rsets(g, r))
 
     return [(g, r) for g, r in cases if 1 <= n_cands(g, r) <= 20]
 
 
 @pytest.mark.parametrize("g,r", _engine_cases())
 def test_max_family_matches_brute_force(g, r):
-    cands = list(enum_independent_rsets(FamilyQuery(g, r)))
+    cands = list(enum_independent_rsets(g, r))
     rep = V.is_r_ekr(g, r)
     best, _ = H.brute_max_intersecting(cands, empty_common_only=False)
     assert rep.max_intersecting_size == best
@@ -271,7 +270,7 @@ def test_star_verdicts_match_per_vertex_route_on_spiders():
             g = spec.realize()
             leaves = [v for v in range(n) if g.degree(v) <= 1]
             for r in range(1, max_independent_set_size(g) + 1):
-                sizes = tuple(star_size(g, v, r, method=TREE_DP).count for v in range(n))
+                sizes = tuple(count_rsets(g, r, anchor=v, method=TREE_DP).count for v in range(n))
                 top = max(sizes)
                 holds = any(sizes[v] == top for v in leaves)
                 best = next((v for v in leaves if sizes[v] == top), sizes.index(top))
