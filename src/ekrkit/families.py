@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .graphs import Graph, GraphError, SpiderSpec, bit_list, iter_bits
 
@@ -36,31 +36,32 @@ class CountResult:
     method: str  # enumeration | tree-dp | closed-form
 
 
-def _colex_rsets(adj, allowed: int, r: int) -> Iterator[int]:
-    # yields independent r-subsets of `allowed` in ascending bitset-integer
-    # (= colexicographic) order: outer loop ascends over the maximum element
-    if r == 0:
-        yield 0
-        return
-    m = allowed
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if r == 1:
-            yield low
-        else:
-            below = (low - 1) & allowed & ~adj[v]
-            if below.bit_count() >= r - 1:
-                for rest in _colex_rsets(adj, below, r - 1):
-                    yield rest | low
-        m ^= low
-
-
-def enum_independent_rsets(g: Graph, r: int) -> Iterator[int]:
-    """Stream the independent r-sets of g in ascending bitset order."""
+def enum_independent_rsets(g: Graph, r: int) -> list[int]:
+    """The independent r-sets of g in ascending bitset order."""
     if not 0 <= r <= g.n:
         raise GraphError(f"set size r={r} out of range for n={g.n}")
-    return _colex_rsets(g.adj, g.vertex_mask, r)
+    if r == 0:
+        return [0]
+    adj = g.adj
+    out = []
+    # (vertices that may join, set so far, members still needed): each entry
+    # adds its largest vertex v and leaves the others, all below v, to a
+    # sibling entry, so the sets come out in descending order
+    stack = [(g.vertex_mask, 0, r)]
+    while stack:
+        m, acc, need = stack.pop()
+        v = m.bit_length() - 1
+        m ^= 1 << v
+        if m.bit_count() >= need:
+            stack.append((m, acc, need))
+        if need == 1:
+            out.append(acc | 1 << v)
+        else:
+            below = m & ~adj[v]
+            if below.bit_count() >= need - 1:
+                stack.append((below, acc | 1 << v, need - 1))
+    out.reverse()
+    return out
 
 
 def all_independent_sets(g: Graph) -> list[int]:
@@ -398,35 +399,19 @@ def merge_tree_paths(t: Graph, removed: int) -> PathMerge:
     rest = t.vertex_mask & ~removed
     if not rest:
         raise GraphError("nothing left to merge after removal")
+    sub, ids = t.induced(rest)
+    if sub.max_degree() > 2:
+        raise GraphError("a surviving component is not a path; remove its branch vertices")
     pieces = []
-    seen = 0
-    for v in iter_bits(rest):
-        if seen >> v & 1:
-            continue
-        # walk the component containing v; must be a path
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            grow = 0
-            for u in iter_bits(frontier):
-                grow |= t.adj[u] & rest
-            frontier = grow & ~comp
-            comp |= frontier
-        ends = [u for u in iter_bits(comp) if (t.adj[u] & comp).bit_count() <= 1]
-        if any((t.adj[u] & comp).bit_count() > 2 for u in iter_bits(comp)):
-            raise GraphError("a surviving component is not a path; remove its branch vertices")
-        start = min(ends)
-        piece = [start]
-        prev, cur = -1, start
-        while True:
-            nxt = [w for w in iter_bits(t.adj[cur] & comp) if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            piece.append(cur)
+    for comp in sub.components():
+        # walk the path from its lower-numbered end
+        cur = min(u for u in iter_bits(comp) if sub.degree(u) <= 1)
+        piece = []
+        while comp:
+            piece.append(ids[cur])
+            comp ^= 1 << cur
+            cur = (sub.adj[cur] & comp).bit_length() - 1
         pieces.append(piece)
-        seen |= comp
-    pieces.sort(key=lambda piece: min(piece))
     return _merge_from_pieces(t, removed, pieces, f"{t.label or 'tree'}-merged")
 
 

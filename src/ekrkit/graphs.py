@@ -9,6 +9,7 @@ down to single big-int operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Iterator, Optional
 
 MAX_VERTICES = 128
@@ -37,20 +38,15 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bit_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bit_list(mask: int) -> list[int]:
+    return list(iter_bits(mask))
 
 
 def find_root(parent: list[int], x: int) -> int:
@@ -207,12 +203,13 @@ def parse_graph6(text: str | bytes) -> Graph:
             raise Graph6Error("byte-out-of-range",
                               f"byte {b} outside printable graph6 range 63..126")
     if data[0] == 126:  # multi-byte vertex count
-        if len(data) >= 4 and data[1] != 126:
-            n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-            body = data[4:]
-        else:
+        if len(data) > 1 and data[1] == 126:
             raise Graph6Error("too-large",
                               "8-byte vertex counts exceed the supported range")
+        if len(data) < 4:
+            raise Graph6Error("malformed-header", "truncated 4-byte vertex count")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
     else:
         n = data[0] - 63
         body = data[1:]
@@ -411,8 +408,7 @@ def generate(spec: str) -> Graph:
         (n,) = _parse_int_args(arg, spec)
         if n < 3:
             raise GeneratorError(f"cycle needs n >= 3, got {n}")
-        edges = list(zip(range(n - 1), range(1, n))) + [(n - 1, 0)]
-        return Graph(n, edges, label=spec)
+        return Graph(n, chain(zip(range(n - 1), range(1, n)), [(n - 1, 0)]), label=spec)
     if kind == "star":
         (k,) = _parse_int_args(arg, spec)
         if k < 1:
@@ -425,23 +421,21 @@ def generate(spec: str) -> Graph:
         sizes = _parse_int_args(arg, spec)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise GeneratorError(f"kpartite needs >= 2 positive part sizes, got {sizes!r}")
-        n = sum(sizes)
-        starts = [sum(sizes[:i]) for i in range(len(sizes))]
-        edges = []
-        for a in range(len(sizes)):
-            for b in range(a + 1, len(sizes)):
-                for u in range(starts[a], starts[a] + sizes[a]):
-                    for v in range(starts[b], starts[b] + sizes[b]):
-                        edges.append((u, v))
-        return Graph(n, edges, label=spec)
+        starts = list(accumulate(sizes, initial=0))  # part i is starts[i]..starts[i+1]-1
+        edges = ((u, v) for a, b in combinations(range(len(sizes)), 2)
+                 for u in range(starts[a], starts[a + 1])
+                 for v in range(starts[b], starts[b + 1]))
+        return Graph(starts[-1], edges, label=spec)
     if kind == "tristar":
         (h,) = _parse_int_args(arg, spec)
         if h < 0:
             raise GeneratorError(f"tristar depth must be >= 0, got {h}")
-        tree_sz = (1 << (h + 1)) - 1
+        # 1 + 3(2^(h+1) - 1) vertices; capping h keeps 2^(h+1) small, and any
+        # h past the cap is over the limit as well
+        tree_sz = (2 << min(h, MAX_VERTICES)) - 1
         n = 1 + 3 * tree_sz
         if n > MAX_VERTICES:
-            raise GeneratorError(f"tristar:{h} has {n} vertices, over the limit")
+            raise GeneratorError(f"tristar:{h} exceeds the {MAX_VERTICES}-vertex limit")
         edges = []
         for t in range(3):
             base = 1 + t * tree_sz

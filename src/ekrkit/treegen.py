@@ -125,31 +125,40 @@ def tree_certificate(n: int, edges) -> str:
                _shape([text[c] for c in kids[b]] + [text[a]]))
 
 
-_FREE_CACHE: dict[int, list[tuple[tuple, str]]] = {1: [((), "()")]}
+def _first_of_each_class(n: int, edge_lists):
+    """The first edge list of each isomorphism class among trees on n vertices.
+
+    Stops once all FREE_TREE_COUNTS[n-1] classes have appeared; the rest can
+    only repeat a class.  Sizes past the table are scanned to the end.
+    """
+    classes = FREE_TREE_COUNTS[n - 1] if n <= len(FREE_TREE_COUNTS) else None
+    seen, shapes = set(), {}
+    for edges in edge_lists:
+        key = _class_key(n, edges, shapes)
+        if key not in seen:
+            seen.add(key)
+            yield edges
+            if len(seen) == classes:
+                return
 
 
-def _free_tree_edge_lists(n: int) -> list[tuple[tuple, str]]:
+_FREE_CACHE: dict[int, list[tuple]] = {1: [()]}
+
+
+def _free_tree_edge_lists(n: int) -> list[tuple]:
     if n < 1:
         raise GraphError(f"need at least one vertex, got n={n}")
-    top = max(_FREE_CACHE)
-    for m in range(top + 1, n + 1):
-        seen = {}
-        shapes = {}
-        for edges, _cert in _FREE_CACHE[m - 1]:
-            for v in range(m - 1):
-                cand = edges + ((v, m - 1),)
-                seen.setdefault(_class_key(m, cand, shapes), cand)
-        _FREE_CACHE[m] = sorted(((e, tree_certificate(m, e)) for e in seen.values()),
-                                key=lambda t: t[1])
+    for m in range(max(_FREE_CACHE) + 1, n + 1):
+        grown = (edges + ((v, m - 1),) for edges in _FREE_CACHE[m - 1] for v in range(m - 1))
+        _FREE_CACHE[m] = sorted(_first_of_each_class(m, grown),
+                                key=lambda edges: tree_certificate(m, edges))
     return _FREE_CACHE[n]
 
 
 def free_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices."""
-    out = []
-    for i, (edges, _cert) in enumerate(_free_tree_edge_lists(n)):
-        out.append(Graph(n, edges, label=f"free-tree-{n}-{i}"))
-    return out
+    return [Graph(n, edges, label=f"free-tree-{n}-{i}")
+            for i, edges in enumerate(_free_tree_edge_lists(n))]
 
 
 # -- exhaustive sweeps ---------------------------------------------------
@@ -275,20 +284,13 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
     if n_max < n_min:
         raise GraphError(f"n_max={n_max} below n_min={n_min}")
 
-    def first_of_each_class():
+    def labeled_representatives():
         for n in range(n_min, n_max + 1):
-            classes = FREE_TREE_COUNTS[n - 1] if n <= len(FREE_TREE_COUNTS) else None
-            seen, shapes = set(), {}
-            for seq in product(range(n), repeat=max(n - 2, 0)):
-                edges = prufer_decode(seq, n)
-                key = _class_key(n, edges, shapes)
-                if key not in seen:
-                    seen.add(key)
-                    yield Graph(n, edges, label=f"tree-{n}-{len(seen) - 1}")
-                    if len(seen) == classes:
-                        break
+            trees = (prufer_decode(seq, n) for seq in product(range(n), repeat=max(n - 2, 0)))
+            for i, edges in enumerate(_first_of_each_class(n, trees)):
+                yield Graph(n, edges, label=f"tree-{n}-{i}")
 
-    summary = search_catalog(prop, first_of_each_class(), r_max, budget, on_finding)
+    summary = search_catalog(prop, labeled_representatives(), r_max, budget, on_finding)
     labeled = sum(n ** max(n - 2, 0) for n in range(n_min, n_max + 1))
     return replace(summary, n_max=n_max, labeled_seen=labeled)
 

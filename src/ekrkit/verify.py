@@ -280,7 +280,7 @@ def _candidates(g: Graph, r: Optional[int]) -> list[int]:
         return all_independent_sets(g)
     if not isinstance(r, int) or r < 1:
         raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
-    cands = list(enum_independent_rsets(g, r))
+    cands = enum_independent_rsets(g, r)
     if not cands:
         raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
     return cands

@@ -10,13 +10,15 @@ import time
 from fractions import Fraction
 from math import comb
 
+import networkx as nx
+
 import ekrkit.bounds as B
 import ekrkit.treegen as T
 import ekrkit.verify as V
 from ekrkit.families import (count_path_rsets, indep_size_counts,
                              star_vector_tree_dp)
-from ekrkit.graphs import (Graph, SpiderSpec, generate,
-                           max_independent_set_size)
+from ekrkit.graphs import (Graph, SpiderSpec, emit_graph6, generate,
+                           max_independent_set_size, min_maximal_independent_set_size)
 
 import helpers as H
 
@@ -276,3 +278,30 @@ def test_a12_mixed_size_families_on_edgeless_graphs():
     report("A12", "edgeless graphs n<=5: mixed-size maximum intersecting family "
                   "= 2^(n-1) with verdict ekr",
            not bad, extra=f"bad={bad}" if bad else "")
+
+
+def test_a13_conjecture_range_is_ekr_on_small_graphs():
+    # is_r_ekr at every 1 <= r <= mu/2 (mu: the least maximal independent set
+    # size) on every nonempty atlas graph (n <= 7) and every free tree n <= 13
+    t0 = time.perf_counter()
+    atlas = [Graph(a.number_of_nodes(), list(a.edges()))
+             for a in nx.graph_atlas_g() if a.number_of_nodes()]
+    trees = [t for n in range(1, 14) for t in T.free_trees(n)]
+    checks, nodes, findings = [0, 0], [0, 0], []
+    for i, catalog in enumerate((atlas, trees)):
+        for g in catalog:
+            mu = min_maximal_independent_set_size(g)
+            for r in range(1, mu // 2 + 1):
+                rep = V.is_r_ekr(g, r)
+                checks[i] += 1
+                nodes[i] += rep.nodes_explored
+                if rep.verdict == V.NOT_EKR:
+                    findings.append((emit_graph6(g), r, mu, rep.to_json_dict()["witness"]))
+    elapsed = time.perf_counter() - t0
+    report("A13", "is_r_ekr finds no counterexample at 1 <= r <= mu/2 on the "
+                  "1,252 nonempty atlas graphs and the 2,288 free trees n<=13",
+           not findings and (len(atlas), len(trees)) == (1252, 2288)
+           and checks == [1088, 4380],
+           extra=f"checks {checks[0]} + {checks[1]}, nodes {nodes[0]} + {nodes[1]}, "
+                 f"{elapsed:.1f}s" + (f"; findings (graph6, r, mu, witness)={findings[:3]}"
+                                      if findings else ""))

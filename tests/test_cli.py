@@ -313,6 +313,8 @@ def test_input_error_exit_code(capsys):
     assert code == 1
     code, out, err = run_main(capsys, "ekr", "--graph", "path:5", "--r", "9")
     assert code == 1
+    code, out, err = run_main(capsys, "ekr", "--graph", "tristar:20000", "--r", "2")
+    assert (code, err) == (1, "error: tristar:20000 exceeds the 128-vertex limit\n")
 
 
 def test_budget_exit_code(capsys):

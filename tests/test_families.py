@@ -4,6 +4,7 @@ import json
 import random
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,6 +384,44 @@ def test_merge_tree_paths():
     assert m2.graph.n == 6
     assert [m2.order[p] for p in range(6)] == [1, 2, 3, 4, 5, 6]
     assert m2.junctions == ((2, 3), (3, 4))
+
+
+def test_rsets_and_tree_merges_are_pinned():
+    # SHA-256 over enum_independent_rsets on every nonempty networkx-atlas
+    # graph at every r from -1 to n + 1 (the out-of-range ends give their
+    # error message) and merge_tree_paths on every free tree with n <= 10,
+    # removing its branch vertices, those plus two random extra sets, and
+    # one random set (results or error messages)
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except GraphError as e:
+            return f"GraphError: {e}"
+
+    def merged(t, removed):
+        m = merge_tree_paths(t, removed)
+        return [m.graph.n, m.graph.label, m.order, m.junctions, m.removed,
+                m.marked_position]
+
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    count = 0
+    for a in nx.graph_atlas_g()[1:]:
+        g = Graph(a.number_of_nodes(), list(a.edges()))
+        for r in range(-1, g.n + 2):
+            out = outcome(lambda: list(enum_independent_rsets(g, r)))
+            digest.update(json.dumps(out).encode() + b"\n")
+            count += 1
+    for n in range(1, 11):
+        for t in free_trees(n):
+            branch = H.mask(v for v in range(n) if t.degree(v) >= 3)
+            extras = [rng.getrandbits(n) for _ in range(3)]
+            for removed in (branch, branch | extras[0], branch | extras[1], extras[2]):
+                digest.update(json.dumps(outcome(merged, t, removed)).encode() + b"\n")
+                count += 1
+    assert count == 13035
+    assert digest.hexdigest() == (
+        "58a079a8d282863b50a6a41e23dd0f25c9736d3bce0c5564d3981a15adf18d8c")
 
 
 def test_merge_piece_errors():

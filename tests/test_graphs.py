@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import networkx as nx
@@ -147,6 +148,9 @@ def test_graph6_header_accepted():
         ("DqKqq", "trailing-garbage"),
         ("D", "malformed-header"),
         ("~~A??", "too-large"),
+        ("~", "malformed-header"),
+        ("~?", "malformed-header"),
+        ("~??", "malformed-header"),
     ],
 )
 def test_graph6_error_kinds(text, kind):
@@ -161,6 +165,19 @@ def test_graph6_nonzero_padding_rejected():
     with pytest.raises(Graph6Error) as exc:
         parse_graph6(bad)
     assert exc.value.kind == "trailing-garbage"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.binary()))
+def test_parsers_raise_only_graph_errors(data):
+    # parse_edge_list reads text only; graph6 also takes bytes
+    parsers = (parse_graph6, parse_edge_list) if isinstance(data, str) else (parse_graph6,)
+    for parse in parsers:
+        try:
+            g = parse(data)
+        except GraphError:
+            continue
+        assert isinstance(g, Graph)
 
 
 def test_read_graph6_lines():
@@ -228,6 +245,18 @@ def test_generate_errors():
     for bad in ("cycle:2", "star:0", "kpartite:4", "tristar:-1", "nosuch:3", "path"):
         with pytest.raises(GraphError):
             generate(bad)
+
+
+@pytest.mark.parametrize("spec", ["kpartite:1000,1000", "cycle:1000000", "tristar:20000"])
+def test_oversized_generator_specs_fail_before_building(spec):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="exceeds the 128-vertex limit"):
+            generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # -- spiders ---------------------------------------------------------------
