@@ -32,8 +32,13 @@ Deeper nodes branch on single sets: their subproblems are invariant only
 under the stabiliser of all the sets picked so far, which would have to be
 computed anew for every subtree.  `nodes_explored` counts the nodes of this
 symmetry-reduced search.  Per node, a greedy matching runs first and stops
-once it proves that the node cannot beat the best family; only a node that
-survives it scans the candidates for absorption and the pick.
+once it proves that the node cannot beat the best family, or once so many
+candidates are left unmatched that it cannot; only a node that survives it
+absorbs candidates and picks.  A surviving node keeps a degree list: each
+allowed candidate's number of allowed disjoint partners.  The root and each
+include child count it; the exclude continuation that drops only the pick
+takes its parent's list and lowers the pick's partners by one, absorbing
+those that reach 0, so the long exclude chains never rescan every candidate.
 """
 from __future__ import annotations
 
@@ -52,13 +57,18 @@ STRICTLY_EKR = "strictly_ekr"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
+def _is_count(x) -> bool:
+    """x is an int >= 1; a bool is an int to isinstance, but not a count."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
-        if self.max_nodes < 1:
-            raise GraphError(f"budget must allow at least one node, got {self.max_nodes}")
+        if not _is_count(self.max_nodes):
+            raise GraphError(f"budget must allow at least one node, got {self.max_nodes!r}")
 
 
 @dataclass(frozen=True)
@@ -201,53 +211,81 @@ def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
     # depth first: each node pushes its exclude continuation (the state after
     # absorbing, minus the pick, or on an orbital chain minus the pick's whole
     # orbit) and then its include child, which is popped next; `chain` names
-    # the orbital chain a node is on, None where it branches on single sets
-    stack = [(full, -1, 0, 0, -1 if gens else None)]
+    # the orbital chain a node is on, None where it branches on single sets.
+    # `degs` holds, for each allowed candidate, its number of allowed disjoint
+    # partners, and -1 elsewhere.  The root and each include child count it
+    # afresh, as does an exclude continuation that dropped a whole orbit; one
+    # that dropped only the pick `gone` takes its parent's list and updates
+    # it in place, which is safe as the include child, popped first, counts
+    # its own.
+    stack = [(full, -1, 0, 0, -1 if gens else None, None, -1)]
     while stack:
-        allowed, common, size, sel, chain = stack.pop()
+        allowed, common, size, sel, chain, degs, gone = stack.pop()
         nodes += 1
         if nodes > max_nodes:
             exceeded = True
             break
-        # pass 1, the matching bound: each candidate still unmatched when
-        # reached, in index order, takes its lowest unmatched later disjoint
-        # partner, and the node is pruned once `need` pairs are matched (which
-        # needs 2 * need <= |allowed|).  Absorbing first would change neither
-        # size + |allowed| nor this matching, as an absorbed candidate has no
-        # allowed disjoint partner, and a node pruned here could not raise
-        # `best`; so testing the bound first prunes exactly the same nodes.
+        # the matching bound: each candidate still unmatched when reached, in
+        # index order, takes its lowest unmatched later disjoint partner, and
+        # the node is pruned once `need` pairs are matched.  Each candidate
+        # left unmatched lowers `slack`; past count - 2 * need of them, fewer
+        # than `need` pairs remain possible, so the node survives (and the
+        # loop never runs out of `free` candidates).  Absorbing first would
+        # change neither size + |allowed| nor this matching, as an absorbed
+        # candidate has no allowed disjoint partner, and a node pruned here
+        # could not raise `best`; so testing the bound first prunes exactly
+        # the same nodes.
         count = allowed.bit_count()
         need = size + count - best
         if need <= 0:
             continue
-        if 2 * need <= count:
+        slack = count - 2 * need
+        if slack >= 0:
             free, matched = allowed, 0
-            while free and matched < need:
+            while matched < need:
                 low = free & -free
                 free ^= low
                 nb = dnb[low.bit_length() - 1] & free
                 if nb:
                     free ^= nb & -nb
                     matched += 1
+                else:
+                    slack -= 1
+                    if slack < 0:
+                        break
             if matched == need:
                 continue
-        # pass 2, at a surviving node: absorb the candidates that meet all
-        # still allowed, and pick the one with most allowed disjoint partners
+        # at a surviving node: absorb the candidates that meet all still
+        # allowed (degree 0).  Dropping the pick lowers only its partners'
+        # degrees, so after a single drop only they can reach 0.
         absorbed = 0
-        pick, deg = -1, 0
-        m = allowed
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            nb = dnb[i] & allowed
-            if not nb:
-                absorbed |= low
-                common &= sets[i]
-                continue
-            d = nb.bit_count()
-            if d > deg:
-                pick, deg = i, d
+        if degs is None:
+            degs = [-1] * k
+            m = allowed
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                m ^= low
+                d = (dnb[i] & allowed).bit_count()
+                if d:
+                    degs[i] = d
+                else:
+                    absorbed |= low
+                    common &= sets[i]
+        else:
+            degs[gone] = -1
+            m = dnb[gone] & allowed
+            while m:
+                low = m & -m
+                i = low.bit_length() - 1
+                m ^= low
+                d = degs[i] - 1
+                if d:
+                    degs[i] = d
+                else:
+                    degs[i] = -1
+                    absorbed |= low
+                    common &= sets[i]
         if absorbed:
             allowed ^= absorbed
             sel |= absorbed
@@ -258,6 +296,8 @@ def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
             if size > best and (common == 0 or size == 0):
                 best, best_sel = size, sel
             continue
+        # the pick: the first candidate with most allowed disjoint partners
+        pick = degs.index(max(degs))
         pb = 1 << pick
         if chain is None:
             drop = pb
@@ -265,9 +305,10 @@ def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
             if chain not in groups:  # the stabiliser of root pick `chain`
                 groups[chain] = _moving(automorphism_generators(g, setwise=sets[chain]))
             drop = _orbit(sets[pick], groups[chain], index)
-        stack.append((allowed & ~drop, common, size, sel, chain))
+        stack.append((allowed & ~drop, common, size, sel, chain,
+                      degs if drop == pb else None, pick))
         stack.append((allowed & ~(dnb[pick] | pb), common & sets[pick], size + 1,
-                      sel | pb, pick if chain == -1 else None))
+                      sel | pb, pick if chain == -1 else None, None, -1))
     witness = None
     if best_sel is not None:
         witness = tuple(sorted(sets[i] for i in iter_bits(best_sel)))
@@ -278,7 +319,7 @@ def _candidates(g: Graph, r: Optional[int]) -> list[int]:
     """The independent r-sets of g; every nonempty independent set if r is None."""
     if r is None:
         return all_independent_sets(g)
-    if not isinstance(r, int) or r < 1:
+    if not _is_count(r):
         raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
     cands = enum_independent_rsets(g, r)
     if not cands:
@@ -368,7 +409,7 @@ class HkReport:
 def _star_sizes(t: Graph, r: int) -> tuple:
     """s_r(v) for every vertex of the forest t; GraphError unless r >= 1 and some
     independent r-set exists."""
-    if not isinstance(r, int) or r < 1:
+    if not _is_count(r):
         raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
     sizes = tuple(_star_column(t, r))
     if not max(sizes):

@@ -406,3 +406,36 @@ def test_non_tree_search_outputs_are_pinned():
     reports += [V.nonuniform_ekr(g) for g in atlas]
     assert H.report_digest(reports) == (
         "f85dca69e67807a503229709ff36fdbb562cd9622a05ed0e5df6322b1ad6ccdc")
+
+
+def test_budget_stopped_search_outputs_are_pinned():
+    # the three searches at the default budget and stopped after 3 and after
+    # 17 nodes, so stops fall in the middle of exclude chains: 120 seeded
+    # random graphs (n 6-12, n/2 to 2n edges) and fixed graphs whose orbital
+    # chains drop orbits of several sets, each at r <= min(4, alpha)
+    rng = random.Random(22)
+    graphs = []
+    for _ in range(120):
+        n = rng.randint(6, 12)
+        graphs.append(Graph(n, H.random_graph_edges(rng, n, rng.randint(n // 2, 2 * n))))
+    graphs += [generate(f"cycle:{n}") for n in range(8, 13)]
+    graphs += [generate(spec) for spec in ("kpartite:2,2,2", "kpartite:3,3", "empty:7", "empty:8")]
+    cases = [(g, r) for g in graphs for r in range(1, min(4, max_independent_set_size(g)) + 1)]
+    assert len(cases) == 448 + 33
+    budgets = (None, V.SearchBudget(3), V.SearchBudget(17))
+    assert H.report_digest(fn(g, r, b) for g, r in cases for b in budgets for fn in SEARCHES) == (
+        "78d6840a7f69fe2ffae3a90bd4768dd2779982b965f91db786c8a9cfe5d63a21")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: V.is_r_ekr(generate("path:5"), True),
+    lambda: V.is_strictly_r_ekr(generate("path:5"), True),
+    lambda: V.max_nonstar_intersecting(generate("path:5"), True),
+    lambda: V.is_r_hk(generate("path:5"), True),
+    lambda: V.SearchBudget(True),
+    lambda: V.SearchBudget(2.5),
+    lambda: V.SearchBudget("3"),
+], ids=["ekr", "strict", "nonstar", "hk", "budget-bool", "budget-float", "budget-str"])
+def test_booleans_and_non_integers_are_not_sizes(call):
+    with pytest.raises(GraphError):
+        call()
