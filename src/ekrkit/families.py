@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, GraphError, SpiderSpec, bit_list, iter_bits
+from .graphs import Graph, GraphError, SpiderSpec, _is_int, bit_list, iter_bits
 
 ENUMERATION = "enumeration"
 TREE_DP = "tree-dp"
@@ -38,7 +38,7 @@ class CountResult:
 
 def enum_independent_rsets(g: Graph, r: int) -> list[int]:
     """The independent r-sets of g in ascending bitset order."""
-    if not 0 <= r <= g.n:
+    if not _is_int(r) or not 0 <= r <= g.n:
         raise GraphError(f"set size r={r} out of range for n={g.n}")
     if r == 0:
         return [0]
@@ -268,7 +268,7 @@ def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int =
     under every method; r < 0, an anchor outside g or inside `forbidden`, and
     a forbidden vertex outside g raise GraphError.
     """
-    if r < 0:
+    if not _is_int(r) or r < 0:
         raise GraphError(f"set size r={r} out of range for n={g.n}")
     _check_anchor(g, anchor, forbidden)
     if method == "auto":

@@ -19,6 +19,11 @@ class GraphError(ValueError):
     """Bad graph input (construction, parsing, generation)."""
 
 
+def _is_int(x) -> bool:
+    """x is an int; a bool is an int to isinstance, but not a size."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph6Error(GraphError):
     """Malformed graph6 text.  `kind` pins down which rule was broken."""
 
@@ -67,7 +72,7 @@ class Graph:
     __slots__ = ("n", "adj", "label")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), label: str = ""):
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise GraphError(f"vertex count must be a positive int, got {n!r}")
         if n > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds the {MAX_VERTICES}-vertex limit")
@@ -309,7 +314,7 @@ def spider_order(legs) -> list[int]:
     ordered[j] = legs[pi[j]].
     """
     legs = list(legs)
-    if any((not isinstance(x, int)) or x < 1 for x in legs):
+    if any(not _is_int(x) or x < 1 for x in legs):
         raise GraphError(f"leg lengths must be positive ints, got {legs!r}")
 
     def key(i):
@@ -331,11 +336,11 @@ class SpiderSpec:
     legs: tuple[int, ...]
 
     def __post_init__(self):
-        legs = tuple(int(x) for x in self.legs)
+        legs = tuple(self.legs)
         object.__setattr__(self, "legs", legs)
         if len(legs) < 3:
             raise GeneratorError(f"spider needs k >= 3 legs, got {len(legs)}")
-        if any(x < 1 for x in legs):
+        if any(not _is_int(x) or x < 1 for x in legs):
             raise GeneratorError(f"leg lengths must be >= 1, got {legs!r}")
         if 1 + sum(legs) > MAX_VERTICES:
             raise GeneratorError("spider exceeds the vertex limit")

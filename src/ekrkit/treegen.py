@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterable, Optional
 
-from .graphs import Graph, GraphError, bit_list, emit_graph6, max_independent_set_size
+from .graphs import Graph, GraphError, _is_int, bit_list, emit_graph6, max_independent_set_size
 from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget, is_r_ekr, is_r_hk
 
 # number of free trees on n = 1..20 vertices (OEIS A000055)
@@ -244,7 +244,7 @@ def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = No
     check = _CHECKS.get(prop)
     if check is None:
         raise GraphError(f"unknown sweep property {prop!r}")
-    if r_max is not None and r_max < 1:
+    if r_max is not None and (not _is_int(r_max) or r_max < 1):
         raise GraphError(f"r_max must be at least 1, got {r_max}")
     seen = checks = blown = n_max = 0
     findings = []

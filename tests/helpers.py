@@ -209,10 +209,14 @@ def perm_closure(gens, n: int) -> set:
     return seen
 
 
-def report_digest(reports) -> str:
+def report_digest(reports, nodes: bool = True) -> str:
     """SHA-256 over the sorted-key JSON of each report's `to_json_dict()`, one
-    line per report, so a pinned digest covers every output byte in order."""
+    line per report, so a pinned digest covers every output byte in order;
+    with nodes=False, every byte but `nodes_explored`."""
     digest = hashlib.sha256()
     for rep in reports:
-        digest.update(json.dumps(rep.to_json_dict(), sort_keys=True).encode() + b"\n")
+        d = rep.to_json_dict()
+        if not nodes:
+            del d["nodes_explored"]
+        digest.update(json.dumps(d, sort_keys=True).encode() + b"\n")
     return digest.hexdigest()

@@ -11,7 +11,7 @@ import ekrkit.verify as V
 from ekrkit.families import TREE_DP, all_independent_sets, count_rsets, enum_independent_rsets
 from ekrkit.graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, generate,
                            max_independent_set_size)
-from ekrkit.treegen import free_trees
+from ekrkit.treegen import free_trees, search_catalog
 
 import helpers as H
 
@@ -160,15 +160,18 @@ def _report_dict(verdict, star, star_size, size, witness, nodes, r=3):
 
 
 _STAR_0_OF_EMPTY_8 = [[0, a, b] for b in range(2, 8) for a in range(1, b)]
+# the Hilton-Milner family of A = {0, 1, 2} and x = 3: the nonstar maximum
+_HM_OF_EMPTY_8 = ([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+                  + [[x, 3, y] for y in range(4, 8) for x in range(3)])
 
 
 @pytest.mark.parametrize("search,spec,r,budget,want", [
-    # out of budget before any witness: the best star (or nothing, for the
-    # nonstar maximum) stands in
+    # out of budget before any witness: the best star (for the nonstar
+    # maximum, the largest Hilton-Milner-type family) stands in
     (V.is_strictly_r_ekr, "empty:8", 3, 1,
      _report_dict(V.BUDGET_EXCEEDED, 0, 21, 21, _STAR_0_OF_EMPTY_8, 2)),
     (V.max_nonstar_intersecting, "empty:8", 3, 1,
-     _report_dict(V.BUDGET_EXCEEDED, 0, 21, 0, [], 2)),
+     _report_dict(V.BUDGET_EXCEEDED, 0, 21, 16, _HM_OF_EMPTY_8, 2)),
     (V.nonuniform_ekr, "path:6", None, 1,
      _report_dict(V.BUDGET_EXCEEDED, 0, 8, 8,
                   [[0], [0, 2], [0, 3], [0, 4], [0, 2, 4], [0, 5], [0, 2, 5], [0, 3, 5]],
@@ -179,9 +182,7 @@ _STAR_0_OF_EMPTY_8 = [[0, a, b] for b in range(2, 8) for a in range(1, b)]
                   [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [0, 1, 4], [0, 2, 4],
                    [1, 2, 4], [0, 3, 4], [1, 3, 4], [2, 3, 4]], 12)),
     (V.max_nonstar_intersecting, "empty:8", 3, 50,
-     _report_dict(V.BUDGET_EXCEEDED, 0, 21, 16,
-                  [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
-                  + [[x, 3, y] for y in range(4, 8) for x in range(3)], 51)),
+     _report_dict(V.BUDGET_EXCEEDED, 0, 21, 16, _HM_OF_EMPTY_8, 51)),
     (V.nonuniform_ekr, "spider:2,2,2", None, 6,
      _report_dict(V.BUDGET_EXCEEDED, 2, 13, 13,
                   [[2], [0, 2], [2, 3], [2, 4], [0, 2, 4], [2, 5], [2, 3, 5], [2, 4, 5],
@@ -376,23 +377,23 @@ def test_orbit_masks_match_permutation_closure():
             assert V._orbit(s, V._moving(gens), index) == want, (n, g.edges(), setwise, s)
 
 
-def test_search_outputs_are_pinned():
+@pytest.fixture(scope="module")
+def tree_pin_reports():
     # every free tree with n <= 11 at r <= min(3, alpha), and two spiders at
-    # r = 4: the JSON of all three searches, nodes_explored included, so a
-    # change to the symmetry set-up cannot show only as changed node counts
+    # r = 4: the three searches on each
     cases = [(t, r) for n in range(1, 12) for t in free_trees(n)
              for r in range(1, min(3, max_independent_set_size(t)) + 1)]
     cases += [(generate("spider:4,4,4"), 4), (generate("spider:3,3,3,3"), 4)]
     assert len(cases) == 1304
-    assert H.report_digest(fn(g, r) for g, r in cases for fn in SEARCHES) == (
-        "f76535c8805514bc3e429c66376c099ee2fe8def9b724bfb442d21cdf650342f")
+    return [fn(g, r) for g, r in cases for fn in SEARCHES]
 
 
-def test_non_tree_search_outputs_are_pinned():
-    # the same pin beyond trees, where Aut(G) comes from the refinement
-    # search: the three searches on every nonempty graph of the networkx atlas
-    # (n <= 7) at r <= min(3, alpha) and on the verdict benchmark's fixed
-    # instances, then nonuniform_ekr on every atlas graph
+@pytest.fixture(scope="module")
+def non_tree_pin_reports():
+    # beyond trees, where Aut(G) comes from the refinement search: the three
+    # searches on every nonempty graph of the networkx atlas (n <= 7) at
+    # r <= min(3, alpha) and on the verdict benchmark's fixed instances, then
+    # nonuniform_ekr on every atlas graph
     atlas = [Graph(a.number_of_nodes(), list(a.edges()))
              for a in nx.graph_atlas_g() if a.number_of_nodes()]
     cases = [(g, r) for g in atlas
@@ -402,10 +403,27 @@ def test_non_tree_search_outputs_are_pinned():
               (generate("kpartite:3,3"), 2)]
     cases += [(generate(f"spider:{legs}"), 5) for legs in ("1,3,4,5", "3,3,3,3", "2,3,4")]
     assert len(cases) == 3586
-    reports = [fn(g, r) for g, r in cases for fn in SEARCHES]
-    reports += [V.nonuniform_ekr(g) for g in atlas]
-    assert H.report_digest(reports) == (
-        "f85dca69e67807a503229709ff36fdbb562cd9622a05ed0e5df6322b1ad6ccdc")
+    return [fn(g, r) for g, r in cases for fn in SEARCHES] + [V.nonuniform_ekr(g) for g in atlas]
+
+
+def test_search_outputs_are_pinned(tree_pin_reports):
+    # nodes_explored included, so a change to the symmetry set-up cannot show
+    # only as changed node counts
+    assert H.report_digest(tree_pin_reports) == (
+        "f344300da7a48b750ea7240342ac6db59214d7fb05241696cdc703bdf58a2b7c")
+
+
+def test_non_tree_search_outputs_are_pinned(non_tree_pin_reports):
+    assert H.report_digest(non_tree_pin_reports) == (
+        "d2d5f80cdc85af0bc9ca8789f9ab59c03b03f1730b00f9550c4c9a5291c4c255")
+
+
+def test_search_answers_are_pinned(tree_pin_reports, non_tree_pin_reports):
+    # the two pins above without nodes_explored: verdicts, sizes and
+    # witnesses, which a change to how the search prunes must leave alone
+    reports = tree_pin_reports + non_tree_pin_reports
+    assert H.report_digest(reports, nodes=False) == (
+        "b842a0c247fabe08c3aa80c1f2b0ca03e712173f1b0bc27f5217c1d3432841ed")
 
 
 def test_budget_stopped_search_outputs_are_pinned():
@@ -424,18 +442,69 @@ def test_budget_stopped_search_outputs_are_pinned():
     assert len(cases) == 448 + 33
     budgets = (None, V.SearchBudget(3), V.SearchBudget(17))
     assert H.report_digest(fn(g, r, b) for g, r in cases for b in budgets for fn in SEARCHES) == (
-        "78d6840a7f69fe2ffae3a90bd4768dd2779982b965f91db786c8a9cfe5d63a21")
+        "7fa4e9492985d9f24f1f51f4ca1517146c35d7f510590ec5f95d067d05622402")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: V.is_r_ekr(generate("path:5"), True),
-    lambda: V.is_strictly_r_ekr(generate("path:5"), True),
-    lambda: V.max_nonstar_intersecting(generate("path:5"), True),
-    lambda: V.is_r_hk(generate("path:5"), True),
-    lambda: V.SearchBudget(True),
-    lambda: V.SearchBudget(2.5),
-    lambda: V.SearchBudget("3"),
-], ids=["ekr", "strict", "nonstar", "hk", "budget-bool", "budget-float", "budget-str"])
-def test_booleans_and_non_integers_are_not_sizes(call):
-    with pytest.raises(GraphError):
+# -- the Hilton-Milner-type floor of the nonstar search ------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_hilton_milner_seed_is_a_nonstar_family(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+    g = Graph(n, edges)
+    r = data.draw(st.integers(1, max_independent_set_size(g)))
+    cands = enum_independent_rsets(g, r)
+    size, sel = V._hilton_milner(cands, V._containment(cands, n))
+    family = [cands[i] for i in range(len(cands)) if sel >> i & 1]
+    assert len(family) == size
+    if size:
+        assert all(g.is_independent(m) and m.bit_count() == r for m in family)
+        assert V.is_intersecting(family)
+        assert V.star_center(family).center is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(V, "_hilton_milner", lambda cands, meets: (0, 0))
+        assert size <= V.max_nonstar_intersecting(g, r).max_intersecting_size
+
+
+def test_hilton_milner_floor_changes_only_node_counts(monkeypatch):
+    # the nonstar search from the seeded floor against the same search from
+    # 0, on every nonempty atlas graph and 60 seeded random graphs (n 6-11)
+    graphs = [Graph(a.number_of_nodes(), list(a.edges()))
+              for a in nx.graph_atlas_g() if a.number_of_nodes()]
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(6, 11)
+        graphs.append(Graph(n, H.random_graph_edges(rng, n, rng.randint(n // 2, 2 * n))))
+    cases = [(g, r) for g in graphs for r in range(1, min(4, max_independent_set_size(g)) + 1)]
+    seeded = [V.max_nonstar_intersecting(g, r) for g, r in cases]
+    monkeypatch.setattr(V, "_hilton_milner", lambda cands, meets: (0, 0))
+    plain = [V.max_nonstar_intersecting(g, r) for g, r in cases]
+    for (g, r), a, b in zip(cases, seeded, plain):
+        assert a.to_json_dict() | {"nodes_explored": 0} == b.to_json_dict() | {"nodes_explored": 0}
+        assert a.nodes_explored <= b.nodes_explored, (g.edges(), r)
+    assert sum(a.nodes_explored for a in seeded) < sum(b.nodes_explored for b in plain)
+
+
+_NOT_R = "set size must satisfy r >= 1"
+_NOT_BUDGET = "budget must allow at least one node"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: V.is_r_ekr(generate("path:5"), True), _NOT_R),
+    (lambda: V.is_strictly_r_ekr(generate("path:5"), True), _NOT_R),
+    (lambda: V.max_nonstar_intersecting(generate("path:5"), True), _NOT_R),
+    (lambda: V.is_r_hk(generate("path:5"), True), _NOT_R),
+    (lambda: V.SearchBudget(True), _NOT_BUDGET),
+    (lambda: V.SearchBudget(2.5), _NOT_BUDGET),
+    (lambda: V.SearchBudget("3"), _NOT_BUDGET),
+    (lambda: Graph(True, []), "vertex count must be a positive int"),
+    (lambda: count_rsets(generate("path:5"), True), "set size r=True out of range"),
+    (lambda: enum_independent_rsets(generate("path:5"), True), "set size r=True out of range"),
+    (lambda: search_catalog("ekr", [generate("path:5")], r_max=True), "r_max must be at least 1"),
+    (lambda: SpiderSpec((True, 2, 2)), "leg lengths must be >= 1"),
+], ids=["ekr", "strict", "nonstar", "hk", "budget-bool", "budget-float", "budget-str",
+        "graph-n", "count-r", "enum-r", "catalog-r-max", "spider-legs"])
+def test_booleans_and_non_integers_are_not_sizes(call, message):
+    with pytest.raises(GraphError, match=message):
         call()
