@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from .graphs import Graph, GraphError, iter_bits
+from .graphs import Graph, GraphError, _is_int, iter_bits
 
 PRECISION_BITS = 120
 MARGIN = Fraction(1, 10 ** 9)
@@ -36,6 +36,13 @@ def _mpmath():
     """mpmath's context, imported on first use: importing ekrkit does not load it."""
     from mpmath import mp
     return mp
+
+
+@functools.cache
+def _libmp():
+    """mpmath's raw-value library, imported on first use like _mpmath()."""
+    from mpmath import libmp
+    return libmp
 
 
 def binom(a: int, b: int) -> int:
@@ -153,51 +160,70 @@ def _mpf_of(x: Fraction):
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
+def _exp_and_linear(u: Fraction, v: Fraction) -> tuple:
+    """(exp(-u), 1 - v) as raw libmp values at PRECISION_BITS, rounded to nearest.
+
+    Bit for bit what mp.exp(-_mpf_of(u)) and 1 - _mpf_of(v) give under
+    workprec(PRECISION_BITS): like mp.mpf(int) there, each numerator and
+    denominator is rounded to PRECISION_BITS before the division.
+    """
+    lib = _libmp()
+    prec, rnd = PRECISION_BITS, lib.round_nearest
+    from_int, div = lib.from_int, lib.mpf_div
+    u = div(from_int(u.numerator, prec, rnd), from_int(u.denominator, prec, rnd), prec, rnd)
+    v = div(from_int(v.numerator, prec, rnd), from_int(v.denominator, prec, rnd), prec, rnd)
+    return lib.mpf_exp(lib.mpf_neg(u), prec, rnd), lib.mpf_sub(lib.fone, v, prec, rnd)
+
+
 def check_exp_linear(x, k: int) -> IneqResult:
     """exp(-x) < 1 - (k/(k+1)) x on 0 <= x <= 2k/(k+1)^2; equality only at x = 0."""
     if not isinstance(x, Fraction):
         x = Fraction(str(x))
-    if k < 1:
+    if not _is_int(k) or k < 1:
         raise GraphError(f"need k >= 1, got {k}")
     dom_hi = Fraction(2 * k, (k + 1) ** 2)
     hyp_ok = 0 <= x <= dom_hi
-    mp = _mpmath()
-    with mp.workprec(PRECISION_BITS):
-        lhs = mp.exp(-_mpf_of(x))
-        rhs = 1 - _mpf_of(Fraction(k, k + 1) * x)
-        boundary = x == 0
-        holds = bool(lhs < rhs) or boundary
-    return IneqResult("exp-linear", f"x={x};k={k}", lhs, rhs, holds, hyp_ok, boundary)
+    lhs, rhs = _exp_and_linear(x, Fraction(k, k + 1) * x)
+    boundary = x == 0
+    holds = _libmp().mpf_lt(lhs, rhs) or boundary
+    make_mpf = _mpmath().make_mpf
+    return IneqResult("exp-linear", f"x={x};k={k}", make_mpf(lhs), make_mpf(rhs), holds,
+                      hyp_ok, boundary)
 
 
 def check_one_minus_exp(y, k: int) -> IneqResult:
     """1 - y > exp(-((k+1)/k) y) on 0 <= y <= 2k^2/(k+1)^3; equality only at y = 0."""
     if not isinstance(y, Fraction):
         y = Fraction(str(y))
-    if k < 1:
+    if not _is_int(k) or k < 1:
         raise GraphError(f"need k >= 1, got {k}")
     dom_hi = Fraction(2 * k * k, (k + 1) ** 3)
     hyp_ok = 0 <= y <= dom_hi
-    mp = _mpmath()
-    with mp.workprec(PRECISION_BITS):
-        lhs = 1 - _mpf_of(y)
-        rhs = mp.exp(-_mpf_of(Fraction(k + 1, k) * y))
-        boundary = y == 0
-        holds = bool(lhs > rhs) or boundary
-    return IneqResult("one-minus-exp", f"y={y};k={k}", lhs, rhs, holds, hyp_ok, boundary)
+    rhs, lhs = _exp_and_linear(Fraction(k + 1, k) * y, y)
+    boundary = y == 0
+    holds = _libmp().mpf_gt(lhs, rhs) or boundary
+    make_mpf = _mpmath().make_mpf
+    return IneqResult("one-minus-exp", f"y={y};k={k}", make_mpf(lhs), make_mpf(rhs), holds,
+                      hyp_ok, boundary)
+
+
+def _degree_product(r: int, d: int, n: int) -> tuple[int, int]:
+    """(prod_{i=1..r-1} (n - r - i*d), n^(r-1)): the degree product's numerator
+    and denominator, not reduced."""
+    num = 1
+    for i in range(1, r):
+        num *= n - r - i * d
+    return num, n ** (r - 1)
 
 
 def check_degree_product(r: int, d: int, n: int) -> IneqResult:
     """prod_{i=1..r-1} (1 - (r+i*d)/n) > r/n once 8n >= 27 d r^2; exact rationals."""
-    if r < 2 or d < 2:
+    if not (_is_int(r) and _is_int(d)) or r < 2 or d < 2:
         raise GraphError(f"need r, d >= 2, got r={r}, d={d}")
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise GraphError(f"need n >= 1, got {n}")
     hyp_ok = 8 * n >= 27 * d * r * r
-    num = 1  # the product is prod_i (n - r - i*d) / n^(r-1)
-    for i in range(1, r):
-        num *= n - r - i * d
-    lhs = Fraction(num, n ** (r - 1))
+    lhs = Fraction(*_degree_product(r, d, n))
     rhs = Fraction(r, n)
     return IneqResult("degree-product", f"r={r};d={d};n={n}", lhs, rhs, lhs > rhs, hyp_ok)
 
@@ -283,6 +309,9 @@ def _check_query(theorem: str, q: BoundQuery, with_r: bool) -> None:
         needs += ("r",)
     if any(getattr(q, name) is None for name in needs):
         raise GraphError(f"{theorem} needs {', '.join(needs)}")
+    for name in needs:
+        if name != "c_density" and not _is_int(getattr(q, name)):
+            raise GraphError(f"{theorem} needs an integer {name}, got {name}={getattr(q, name)!r}")
     if with_r and q.r < 1:
         raise GraphError(f"{theorem} needs r >= 1, got r={q.r}")
     # negative n has no real threshold; T3 with d < 1 admits every r
@@ -353,6 +382,8 @@ def binoms_ineq_check(n: int, r: int) -> IneqResult:
 
 def binoms2_ineq_check(n: int, r: int, s: int) -> IneqResult:
     """C(n-1,r-1) <= C(n-r-1,r-1) + C(n-r-s,r-1); hypothesis 1 < s plus T6."""
+    if not (_is_int(n) and _is_int(r) and _is_int(s)):
+        raise GraphError(f"binom-split needs integers n, r, s, got n={n!r}, r={r!r}, s={s!r}")
     hyp = s > 1 and hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable
     lhs = binom(n - 1, r - 1)
     rhs = binom(n - r - 1, r - 1) + binom(n - r - s, r - 1)
@@ -377,7 +408,7 @@ def peel(g: Graph, threshold: int) -> PeelReport:
     Deterministic: always the max-degree vertex, ties to the smallest index.
     Stops when every surviving degree is below the threshold.
     """
-    if threshold < 1:
+    if not _is_int(threshold) or threshold < 1:
         raise GraphError(f"peel threshold must be >= 1, got {threshold}")
     alive = g.vertex_mask
     live = list(range(g.n))  # ascending, so max() below picks the smallest index on ties
@@ -436,10 +467,6 @@ class GridRow(NamedTuple):
     holds: bool
 
 
-def _row(res: IneqResult, fmt=str) -> tuple:
-    return res.name, res.params, fmt(res.lhs), fmt(res.rhs), bool(res.holds)
-
-
 def _binom_walk(m: int, k: int) -> Iterator[int]:
     """C(m, k), C(m+1, k), C(m+2, k), ... in exact integer steps."""
     c = binom(m, k)
@@ -459,12 +486,20 @@ def _lagged_walks(m: int, k: int, *leads: int) -> tuple[Iterator[int], ...]:
     return walks
 
 
+def _fraction_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without making the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _degree_product_rows():
     for r in range(2, 9):
         for d in range(2, 9):
             n0 = -(-27 * d * r * r // 8)  # ceil
             for n in range(n0, n0 + 200):
-                yield _row(check_degree_product(r, d, n))
+                num, den = _degree_product(r, d, n)
+                yield ("degree-product", f"r={r};d={d};n={n}", _fraction_str(num, den),
+                       _fraction_str(r, n), num * n > r * den)
 
 
 def _min_admissible_n(applicable, n_max: int):
@@ -516,22 +551,27 @@ def _binoms2_rows():
 def _hm_identity_rows():
     for n in range(2, 61):
         for r in range(1, n):
-            yield ("hm-identity", f"n={n};r={r}", str(hm_bound(n, r)),
-                   str(hm_bound_sum_form(n, r)), hm_identity_check(n, r))
+            closed, summed = hm_bound(n, r), hm_bound_sum_form(n, r)
+            yield "hm-identity", f"n={n};r={r}", str(closed), str(summed), closed == summed
 
 
 def _estimates_rows():
     """Interior sampling of both exponential estimates, 100 points per k <= 10."""
+    # the checks' sides from _exp_and_linear, printed as nstr(., 17) prints them;
+    # no point is 0, so the boundary case never applies
+    lib = _libmp()
+    to_str, lt, gt = lib.to_str, lib.mpf_lt, lib.mpf_gt
     eps = Fraction(1, 10 ** 6)
-    nstr = functools.partial(_mpmath().nstr, n=17)
     for k in range(1, 11):
         x_hi = Fraction(2 * k, (k + 1) ** 2)
         y_hi = Fraction(2 * k * k, (k + 1) ** 3)
         for j in range(1, 101):
             x = eps + (x_hi - eps) * Fraction(j, 100)
             y = eps + (y_hi - eps) * Fraction(j, 100)
-            yield _row(check_exp_linear(x, k), nstr)
-            yield _row(check_one_minus_exp(y, k), nstr)
+            lhs, rhs = _exp_and_linear(x, Fraction(k, k + 1) * x)
+            yield "exp-linear", f"x={x};k={k}", to_str(lhs, 17), to_str(rhs, 17), lt(lhs, rhs)
+            rhs, lhs = _exp_and_linear(Fraction(k + 1, k) * y, y)
+            yield "one-minus-exp", f"y={y};k={k}", to_str(lhs, 17), to_str(rhs, 17), gt(lhs, rhs)
 
 
 _SUITES = {

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import io
@@ -11,7 +12,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ekrkit
@@ -95,6 +96,23 @@ def test_one_minus_exp_interior_and_boundary():
     edge = B.check_one_minus_exp(Fraction(2, 8), 1)  # 2k^2/(k+1)^3 at k=1
     assert edge.holds and edge.hypothesis_ok
     assert not B.check_one_minus_exp(Fraction(1, 2), 1).hypothesis_ok
+
+
+# numerators and denominators past PRECISION_BITS, where mp.mpf(int) rounds
+_WIDE_FRACTIONS = st.builds(Fraction, st.integers(-2 ** 300, 2 ** 300), st.integers(1, 2 ** 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_WIDE_FRACTIONS, k=st.integers(1, 20))
+@example(x=Fraction(298738086778591238766483947383679881, 524196608665881067090229653483622497),
+         k=7)  # unrounded 121-bit integers give different last bits here
+def test_exp_and_linear_is_bit_identical_to_the_mpf_path(x, k):
+    # the raw libmp values of both estimate checks against mp.mpf and mp.exp
+    pairs = [(x, Fraction(k, k + 1) * x), (Fraction(k + 1, k) * x, x)]
+    mp = B._mpmath()
+    with mp.workprec(B.PRECISION_BITS):
+        want = [(mp.exp(-B._mpf_of(u))._mpf_, (1 - B._mpf_of(v))._mpf_) for u, v in pairs]
+    assert [B._exp_and_linear(u, v) for u, v in pairs] == want
 
 
 def test_degree_product_exact():
@@ -544,8 +562,8 @@ def test_binom_walk_matches_binom():
             assert [next(walk) for _ in range(40)] == [B.binom(m, k) for m in range(m0, m0 + 40)]
 
 
-def _pointwise_row(res):
-    return B.GridRow(res.name, res.params, str(res.lhs), str(res.rhs), res.holds)
+def _pointwise_row(res, fmt=str):
+    return B.GridRow(res.name, res.params, fmt(res.lhs), fmt(res.rhs), res.holds)
 
 
 def test_grid_walks_match_pointwise_checks():
@@ -559,6 +577,28 @@ def test_grid_walks_match_pointwise_checks():
     assert {s for s, _, _ in want} == {2, 3, 4}  # s = 5 needs n > 600
     assert _small_rows("binoms2", n=600) == [
         _pointwise_row(B.binoms2_ineq_check(n, r, s)) for s, r, n in want]
+
+
+def test_grid_rows_match_pointwise_checks():
+    # every row of the degree-product, hm-identity and estimates suites
+    n0 = lambda r, d: -(-27 * d * r * r // 8)
+    assert B.run_grid("degree-product") == [
+        _pointwise_row(B.check_degree_product(r, d, n))
+        for r in range(2, 9) for d in range(2, 9) for n in range(n0(r, d), n0(r, d) + 200)]
+    assert B.run_grid("hm-identity") == [
+        B.GridRow("hm-identity", f"n={n};r={r}", str(B.hm_bound(n, r)),
+                  str(B.hm_bound_sum_form(n, r)), B.hm_identity_check(n, r))
+        for n in range(2, 61) for r in range(1, n)]
+    nstr = functools.partial(B._mpmath().nstr, n=17)
+    eps = Fraction(1, 10 ** 6)
+    want = []
+    for k in range(1, 11):
+        for j in range(1, 101):
+            x = eps + (Fraction(2 * k, (k + 1) ** 2) - eps) * Fraction(j, 100)
+            y = eps + (Fraction(2 * k * k, (k + 1) ** 3) - eps) * Fraction(j, 100)
+            want += [_pointwise_row(B.check_exp_linear(x, k), nstr),
+                     _pointwise_row(B.check_one_minus_exp(y, k), nstr)]
+    assert B.run_grid("estimates") == want
 
 
 def test_degree_product_matches_factor_product():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ekrkit.bounds as B
 import ekrkit.verify as V
 from ekrkit.families import TREE_DP, all_independent_sets, count_rsets, enum_independent_rsets
 from ekrkit.graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, generate,
@@ -503,8 +504,24 @@ _NOT_BUDGET = "budget must allow at least one node"
     (lambda: enum_independent_rsets(generate("path:5"), True), "set size r=True out of range"),
     (lambda: search_catalog("ekr", [generate("path:5")], r_max=True), "r_max must be at least 1"),
     (lambda: SpiderSpec((True, 2, 2)), "leg lengths must be >= 1"),
+    (lambda: B.peel(generate("path:5"), True), "peel threshold must be >= 1"),
+    (lambda: B.peel(generate("path:5"), 2.5), "peel threshold must be >= 1"),
+    (lambda: B.check_exp_linear(0.1, True), "need k >= 1"),
+    (lambda: B.check_one_minus_exp(0.1, 2.0), "need k >= 1"),
+    (lambda: B.check_degree_product(3.0, 2, 100), "need r, d >= 2"),
+    (lambda: B.check_degree_product(2, 2.0, 100), "need r, d >= 2"),
+    (lambda: B.check_degree_product(2, 2, 100.0), "need n >= 1"),
+    (lambda: B.binoms_ineq_check(True, 1), "T5 needs an integer n"),
+    (lambda: B.binoms2_ineq_check(100, 5, True), "binom-split needs integers n, r, s"),
+    (lambda: B.hypothesis("T5", B.BoundQuery(n=100, r=True)), "T5 needs an integer r"),
+    (lambda: B.hypothesis("T3", B.BoundQuery(n=100, r=2, d=2.5)), "T3 needs an integer d"),
+    (lambda: B.rmax("T6", B.BoundQuery(n=100, s=True)), "T6 needs an integer s"),
+    (lambda: B.rmax("T8", B.BoundQuery(n=1000.5)), "T8 needs an integer n"),
 ], ids=["ekr", "strict", "nonstar", "hk", "budget-bool", "budget-float", "budget-str",
-        "graph-n", "count-r", "enum-r", "catalog-r-max", "spider-legs"])
+        "graph-n", "count-r", "enum-r", "catalog-r-max", "spider-legs",
+        "peel-bool", "peel-float", "exp-linear-k", "one-minus-exp-k", "degree-product-r",
+        "degree-product-d", "degree-product-n", "binoms-n", "binoms2-s", "hypothesis-r",
+        "hypothesis-d", "rmax-s", "rmax-n"])
 def test_booleans_and_non_integers_are_not_sizes(call, message):
     with pytest.raises(GraphError, match=message):
         call()
