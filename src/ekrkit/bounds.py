@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
-from .graphs import Graph, GraphError, _is_int, iter_bits
+from .graphs import Graph, GraphError, _int_arg, _is_int, iter_bits
 
 PRECISION_BITS = 120
 MARGIN = Fraction(1, 10 ** 9)
@@ -45,6 +45,20 @@ def _libmp():
     return libmp
 
 
+def _rational_arg(name: str, x) -> Fraction:
+    """x as a Fraction, the one rule for every rational argument: a Fraction,
+    an int (not a bool), a decimal or p/q string, or a float read as its
+    shortest repr.  Anything else, a zero denominator included, is GraphError."""
+    if isinstance(x, Fraction) or _is_int(x):
+        return Fraction(x)
+    if isinstance(x, (str, float)):
+        try:
+            return Fraction(str(x))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise GraphError(f"need a rational {name} (Fraction, int, decimal or p/q), got {name}={x!r}")
+
+
 def binom(a: int, b: int) -> int:
     if b < 0 or a < 0 or b > a:
         return 0
@@ -55,7 +69,7 @@ def binom(a: int, b: int) -> int:
 
 def ekr_bound(n: int, r: int) -> int:
     """Star size of the empty graph: C(n-1, r-1)."""
-    return binom(n - 1, r - 1)
+    return binom(_int_arg("n", n) - 1, _int_arg("r", r) - 1)
 
 
 def hm_bound(n: int, r: int) -> int:
@@ -65,11 +79,15 @@ def hm_bound(n: int, r: int) -> int:
     the true maximum is 0 (intersecting singletons are all equal); the value is
     kept as is because the hm-identity grid rows use it.
     """
+    _int_arg("n", n)
+    _int_arg("r", r)
     return binom(n - 1, r - 1) - binom(n - r - 1, r - 1) + 1
 
 
 def hm_bound_sum_form(n: int, r: int) -> int:
     """Equivalent telescoped form: 1 + sum_{j=2}^{r+1} C(n-j, r-2)."""
+    _int_arg("n", n)
+    _int_arg("r", r)
     return 1 + sum(binom(n - j, r - 2) for j in range(2, r + 2))
 
 
@@ -79,7 +97,7 @@ def hm_identity_check(n: int, r: int) -> bool:
 
 def frankl_bound(n: int, r: int) -> int:
     """Out-of-star slack C(n-3, r-2), meaningful for r < n/72."""
-    return binom(n - 3, r - 2)
+    return binom(_int_arg("n", n) - 3, _int_arg("r", r) - 2)
 
 
 def claim_star_lower(n: int, d: int, r: int) -> Fraction:
@@ -87,8 +105,9 @@ def claim_star_lower(n: int, d: int, r: int) -> Fraction:
 
     Exact rational; collapses to 0 as soon as a factor is nonpositive.
     """
-    if r < 1:
-        raise GraphError(f"need r >= 1, got {r}")
+    _int_arg("n", n)
+    _int_arg("d", d)
+    _int_arg("r", r, 1)
     num = 1
     for i in range(1, r):
         factor = n - i * d
@@ -100,11 +119,17 @@ def claim_star_lower(n: int, d: int, r: int) -> Fraction:
 
 def spider_star_lower(n: int, k: int, r: int) -> int:
     """Leaf star bound for spiders with k legs: C(n-r-1,r-1) + C(n-k-r-2,r-2)."""
+    _int_arg("n", n)
+    _int_arg("k", k)
+    _int_arg("r", r)
     return binom(n - r - 1, r - 1) + binom(n - k - r - 2, r - 2)
 
 
 def split_star_lower(n: int, s: int, r: int) -> int:
     """Leaf star bound for trees with s >= 2 branch vertices: C(n-r-s,r-1) + 1."""
+    _int_arg("n", n)
+    _int_arg("s", s)
+    _int_arg("r", r)
     return binom(n - r - s, r - 1) + 1
 
 
@@ -121,8 +146,8 @@ class BoundQuery:
     s: Optional[int] = None
 
     def __post_init__(self):
-        if self.c_density is not None and not isinstance(self.c_density, Fraction):
-            object.__setattr__(self, "c_density", Fraction(str(self.c_density)))
+        if self.c_density is not None:
+            object.__setattr__(self, "c_density", _rational_arg("c_density", self.c_density))
 
 
 @dataclass(frozen=True)
@@ -177,10 +202,8 @@ def _exp_and_linear(u: Fraction, v: Fraction) -> tuple:
 
 def check_exp_linear(x, k: int) -> IneqResult:
     """exp(-x) < 1 - (k/(k+1)) x on 0 <= x <= 2k/(k+1)^2; equality only at x = 0."""
-    if not isinstance(x, Fraction):
-        x = Fraction(str(x))
-    if not _is_int(k) or k < 1:
-        raise GraphError(f"need k >= 1, got {k}")
+    x = _rational_arg("x", x)
+    _int_arg("k", k, 1)
     dom_hi = Fraction(2 * k, (k + 1) ** 2)
     hyp_ok = 0 <= x <= dom_hi
     lhs, rhs = _exp_and_linear(x, Fraction(k, k + 1) * x)
@@ -193,10 +216,8 @@ def check_exp_linear(x, k: int) -> IneqResult:
 
 def check_one_minus_exp(y, k: int) -> IneqResult:
     """1 - y > exp(-((k+1)/k) y) on 0 <= y <= 2k^2/(k+1)^3; equality only at y = 0."""
-    if not isinstance(y, Fraction):
-        y = Fraction(str(y))
-    if not _is_int(k) or k < 1:
-        raise GraphError(f"need k >= 1, got {k}")
+    y = _rational_arg("y", y)
+    _int_arg("k", k, 1)
     dom_hi = Fraction(2 * k * k, (k + 1) ** 3)
     hyp_ok = 0 <= y <= dom_hi
     rhs, lhs = _exp_and_linear(Fraction(k + 1, k) * y, y)
@@ -218,10 +239,9 @@ def _degree_product(r: int, d: int, n: int) -> tuple[int, int]:
 
 def check_degree_product(r: int, d: int, n: int) -> IneqResult:
     """prod_{i=1..r-1} (1 - (r+i*d)/n) > r/n once 8n >= 27 d r^2; exact rationals."""
-    if not (_is_int(r) and _is_int(d)) or r < 2 or d < 2:
-        raise GraphError(f"need r, d >= 2, got r={r}, d={d}")
-    if not _is_int(n) or n < 1:
-        raise GraphError(f"need n >= 1, got {n}")
+    _int_arg("r", r, 2)
+    _int_arg("d", d, 2)
+    _int_arg("n", n, 1)
     hyp_ok = 8 * n >= 27 * d * r * r
     lhs = Fraction(*_degree_product(r, d, n))
     rhs = Fraction(r, n)
@@ -234,8 +254,10 @@ def big_star_lower(n: int, r: int, d: int, k: int):
     Returns (value, hypothesis_ok); the hypothesis is
     1/(3r) + r*d/n <= 2k^2/(k+1)^3 (exact rational comparison).
     """
-    if min(n, r, d, k) < 1:
-        raise GraphError("big_star_lower needs positive n, r, d, k")
+    _int_arg("n", n, 1)
+    _int_arg("r", r, 1)
+    _int_arg("d", d, 1)
+    _int_arg("k", k, 1)
     hyp_ok = Fraction(1, 3 * r) + Fraction(r * d, n) <= Fraction(2 * k * k, (k + 1) ** 3)
     mp = _mpmath()
     with mp.workprec(PRECISION_BITS):
@@ -309,16 +331,12 @@ def _check_query(theorem: str, q: BoundQuery, with_r: bool) -> None:
         needs += ("r",)
     if any(getattr(q, name) is None for name in needs):
         raise GraphError(f"{theorem} needs {', '.join(needs)}")
+    # the least value of each int field: T3 with d < 1 admits every r, and
+    # T5/T6 have no real threshold at negative n
+    least = {"r": 1, "d": 1, "n": 0 if theorem in ("T5", "T6") else None}
     for name in needs:
-        if name != "c_density" and not _is_int(getattr(q, name)):
-            raise GraphError(f"{theorem} needs an integer {name}, got {name}={getattr(q, name)!r}")
-    if with_r and q.r < 1:
-        raise GraphError(f"{theorem} needs r >= 1, got r={q.r}")
-    # negative n has no real threshold; T3 with d < 1 admits every r
-    if theorem in ("T5", "T6") and q.n < 0:
-        raise GraphError(f"{theorem} needs n >= 0, got n={q.n}")
-    if theorem == "T3" and q.d < 1:
-        raise GraphError(f"T3 needs d >= 1, got d={q.d}")
+        if name != "c_density":
+            _int_arg(name, getattr(q, name), least.get(name))
 
 
 def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
@@ -351,23 +369,32 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
     return Applicability(theorem, ok, (("r < n/72", ok),))
 
 
+# the most values of r that rmax lists: the widest range the tests list, T5
+# and T6 at n = 10**12 (about 832,000 values), fits
+_RMAX_LEN = 2 ** 20
+
+
 def rmax(theorem: str, q: BoundQuery) -> list[int]:
-    """All r >= 1 at which the named theorem applies for the other parameters."""
+    """All r >= 1 at which the named theorem applies for the other parameters;
+    GraphError, before anything is built, when the last r to try is past _RMAX_LEN."""
     _check_query(theorem, q, with_r=False)
     if theorem == "T8":
-        return list(range(1, (q.n - 1) // 72 + 1))
-    if theorem == "T3":  # 8n > 27 d r^2 iff r^2 <= (8n - 1) // (27d)
-        return list(range(1, math.isqrt(max(8 * q.n - 1, 0) // (27 * q.d)) + 1))
+        top = (q.n - 1) // 72
+    elif theorem == "T3":  # 8n > 27 d r^2 iff r^2 <= (8n - 1) // (27d)
+        top = math.isqrt(max(8 * q.n - 1, 0) // (27 * q.d))
+    elif theorem == "T2-avg":  # applies at every r up to a threshold
+        top = _RMAX_LEN + 1
+        if not hypothesis(theorem, replace(q, r=top)).applicable:
+            top = 0
+            while hypothesis(theorem, replace(q, r=top + 1)).applicable:
+                top += 1
+    else:  # T5 (c = 2) applies up to one threshold; T6's c < 2 keeps r under it too
+        top = _r_max_below_threshold(q.n, Fraction(2))
+    if top > _RMAX_LEN:
+        raise GraphError(f"{theorem} applies at more than the {_RMAX_LEN} values of r rmax lists")
     if theorem == "T6":
-        # c < 2 keeps every admissible r under the T5 threshold, so cap there
-        cap = int(math.isqrt(int(q.n * math.log(2)))) + 3
-        return [r for r in range(1, cap + 1) if _applies(theorem, q.n, r, q.s)]
-    if theorem == "T5":  # c = 2 does not depend on r: every r up to one threshold
-        return list(range(1, _r_max_below_threshold(q.n, Fraction(2)) + 1))
-    r = 1  # T2-avg applies at every r up to a threshold
-    while hypothesis(theorem, replace(q, r=r)).applicable:
-        r += 1
-    return list(range(1, r))
+        return [r for r in range(1, top + 1) if _applies(theorem, q.n, r, q.s)]
+    return list(range(1, top + 1))
 
 
 # -- binomial comparison checks ----------------------------------------
@@ -382,8 +409,9 @@ def binoms_ineq_check(n: int, r: int) -> IneqResult:
 
 def binoms2_ineq_check(n: int, r: int, s: int) -> IneqResult:
     """C(n-1,r-1) <= C(n-r-1,r-1) + C(n-r-s,r-1); hypothesis 1 < s plus T6."""
-    if not (_is_int(n) and _is_int(r) and _is_int(s)):
-        raise GraphError(f"binom-split needs integers n, r, s, got n={n!r}, r={r!r}, s={s!r}")
+    _int_arg("n", n)
+    _int_arg("r", r)
+    _int_arg("s", s)
     hyp = s > 1 and hypothesis("T6", BoundQuery(n=n, r=r, s=s)).applicable
     lhs = binom(n - 1, r - 1)
     rhs = binom(n - r - 1, r - 1) + binom(n - r - s, r - 1)
@@ -408,8 +436,7 @@ def peel(g: Graph, threshold: int) -> PeelReport:
     Deterministic: always the max-degree vertex, ties to the smallest index.
     Stops when every surviving degree is below the threshold.
     """
-    if not _is_int(threshold) or threshold < 1:
-        raise GraphError(f"peel threshold must be >= 1, got {threshold}")
+    _int_arg("threshold", threshold, 1)
     alive = g.vertex_mask
     live = list(range(g.n))  # ascending, so max() below picks the smallest index on ties
     deg = g.degrees()  # deg[v] = |adj[v] & alive| for every live v
@@ -443,8 +470,8 @@ def peel_certificates_ok(report: PeelReport) -> bool:
 def peel_bound_check(report: PeelReport, c: Fraction, r: int) -> dict:
     """Bookkeeping for sparse graphs: with threshold 3cr and <= c*n edges,
     at most n/(3r) removals happen and >= n(1 - 1/(3r)) vertices survive."""
-    if not isinstance(c, Fraction):
-        c = Fraction(str(c))
+    c = _rational_arg("c", c)
+    _int_arg("r", r, 1)
     n = report.source.n
     return {
         "threshold_matches": Fraction(report.threshold) == 3 * c * r,

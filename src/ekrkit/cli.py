@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from typing import Callable, Optional
 
 from . import bounds as bnd
@@ -128,7 +127,7 @@ def _run_star(args, stream) -> int:
                    "vertex": args.vertex, "size": res.count, "method": res.method}
     else:
         if g.is_forest():  # one rerooting pass, reading coefficient r only
-            sizes = fam._star_column(g, args.r)
+            sizes = fam._star_column(g, gr._int_arg("r", args.r, 0, g.n))
         else:
             sizes = [fam.star_size(g, v, args.r).count for v in range(g.n)]
         top = max(sizes)
@@ -236,7 +235,7 @@ def _run_peel(args, stream) -> int:
         "certificates_ok": bnd.peel_certificates_ok(rep),
     }
     if args.c is not None:
-        checks = bnd.peel_bound_check(rep, Fraction(args.c), args.r)
+        checks = bnd.peel_bound_check(rep, args.c, args.r)
         payload["bound_checks"] = {k: bool(v) for k, v in sorted(checks.items())}
     _emit(stream, payload, args.fmt)
     return EXIT_OK

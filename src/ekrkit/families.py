@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, GraphError, SpiderSpec, _is_int, bit_list, iter_bits
+from .graphs import Graph, GraphError, SpiderSpec, _int_arg, bit_list, iter_bits
 
 ENUMERATION = "enumeration"
 TREE_DP = "tree-dp"
@@ -19,15 +19,13 @@ CLOSED_FORM = "closed-form"
 
 
 def _check_anchor(g: Graph, anchor: Optional[int], forbidden: int) -> None:
-    """GraphError unless anchor (if given) is a vertex of g outside forbidden,
-    and forbidden is a mask of g's vertices."""
+    """GraphError unless forbidden is a mask of g's vertices and anchor (if
+    given) is a vertex of g outside it."""
+    _int_arg("forbidden", forbidden, 0, g.vertex_mask)
     if anchor is not None:
-        if not 0 <= anchor < g.n:
-            raise GraphError(f"anchor {anchor} out of range")
+        _int_arg("anchor", anchor, 0, g.n - 1)
         if forbidden >> anchor & 1:
             raise GraphError("anchor vertex is also forbidden")
-    if forbidden & ~g.vertex_mask:
-        raise GraphError("forbidden mask mentions vertices outside the graph")
 
 
 @dataclass(frozen=True)
@@ -38,9 +36,7 @@ class CountResult:
 
 def enum_independent_rsets(g: Graph, r: int) -> list[int]:
     """The independent r-sets of g in ascending bitset order."""
-    if not _is_int(r) or not 0 <= r <= g.n:
-        raise GraphError(f"set size r={r} out of range for n={g.n}")
-    if r == 0:
+    if _int_arg("r", r, 0, g.n) == 0:
         return [0]
     adj = g.adj
     out = []
@@ -89,12 +85,12 @@ def indep_size_counts(g: Graph, anchor: Optional[int] = None, forbidden: int = 0
 
     Subset branching in ascending vertex order; every independent set is
     visited exactly once, so the cost is proportional to the total count.
-    anchor must be a vertex outside the vertex mask forbidden, and forbidden
-    may mention only vertices of g; a negative max_size raises GraphError.
+    anchor must be a vertex outside the vertex mask forbidden, forbidden may
+    mention only vertices of g, and max_size (default n) may not be negative.
     """
     _check_anchor(g, anchor, forbidden)
     adj = g.adj
-    cap = _checked_cap(g, max_size)
+    cap = g.n if max_size is None else _int_arg("max_size", max_size, 0)
     allowed = g.vertex_mask & ~forbidden
     base = 0
     if anchor is not None:
@@ -122,8 +118,8 @@ def indep_size_counts(g: Graph, anchor: Optional[int] = None, forbidden: int = 0
 
 def count_path_rsets(m: int, r: int) -> CountResult:
     """Independent r-sets of the path on m vertices: C(m - r + 1, r)."""
-    if m < 0 or r < 0:
-        raise GraphError(f"need m, r >= 0; got m={m}, r={r}")
+    _int_arg("m", m, 0)
+    _int_arg("r", r, 0)
     return CountResult(math.comb(max(m - r + 1, 0), r), CLOSED_FORM)
 
 
@@ -177,44 +173,33 @@ def _rooted_polys(g: Graph, first: int = 0):
     return order, parent, roots, inc, exc
 
 
-def _checked_cap(g: Graph, max_size: Optional[int]) -> int:
-    cap = g.n if max_size is None else max_size
-    if cap < 0:
-        raise GraphError(f"r={cap} out of range")
-    return cap
-
-
-def _unpack(poly: int, n: int, cap: int) -> list[int]:
-    # coefficients 0..cap of a polynomial packed with n + 1 bits per slot
+def _unpack(poly: int, n: int) -> list[int]:
+    # coefficients 0..n of a polynomial packed with n + 1 bits per slot
     w = n + 1
     mask = (1 << w) - 1
-    return [poly >> (w * s) & mask for s in range(cap + 1)]
+    return [poly >> (w * s) & mask for s in range(n + 1)]
 
 
-def indep_size_counts_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[int]:
-    """Per-size independent set counts of a forest: the product of the
-    roots' totals inc + exc after one down pass."""
-    cap = _checked_cap(g, max_size)
+def indep_size_counts_tree_dp(g: Graph) -> list[int]:
+    """counts[s] = independent s-sets of the forest g, for s = 0..n: the
+    product of the roots' totals inc + exc after one down pass."""
     _order, _parent, roots, inc, exc = _rooted_polys(g)
-    return _unpack(math.prod(inc[s] + exc[s] for s in roots), g.n, cap)
+    return _unpack(math.prod(inc[s] + exc[s] for s in roots), g.n)
 
 
-def star_vector_tree_dp(g: Graph, v: int, max_size: Optional[int] = None) -> list[int]:
-    """counts[s] = independent s-sets of the forest g containing v.
+def star_vector_tree_dp(g: Graph, v: int) -> list[int]:
+    """counts[s] = independent s-sets of the forest g containing v, for s = 0..n.
 
     One down pass with v's component rooted at v: inc[v] times the other
     components' totals.  The per-vertex reference for star_vectors_tree_dp.
     """
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    cap = _checked_cap(g, max_size)
+    _int_arg("v", v, 0, g.n - 1)
     _order, _parent, roots, inc, exc = _rooted_polys(g, first=v)
-    return _unpack(inc[v] * math.prod(inc[s] + exc[s] for s in roots[1:]), g.n, cap)
+    return _unpack(inc[v] * math.prod(inc[s] + exc[s] for s in roots[1:]), g.n)
 
 
-def _star_polys(g: Graph, r: int) -> list[int]:
-    """The packed star polynomial of every vertex of the forest g (GraphError
-    unless 0 <= r <= n).
+def _star_polys(g: Graph) -> list[int]:
+    """The packed star polynomial of every vertex of the forest g.
 
     One rerooting pass instead of one DP per vertex: after the down pass, a
     pass down the order recovers, for each child, the rest of the tree as
@@ -222,8 +207,6 @@ def _star_polys(g: Graph, r: int) -> list[int]:
     child's factor.  Other components enter as the product of their totals.
     """
     n = g.n
-    if not 0 <= r <= n:
-        raise GraphError(f"r={r} out of range")
     order, parent, roots, inc, exc = _rooted_polys(g)
     forest = math.prod(inc[s] + exc[s] for s in roots)
     whole_inc, whole_exc = inc[:], exc[:]  # the whole component, rooted at u
@@ -241,19 +224,18 @@ def _star_polys(g: Graph, r: int) -> list[int]:
     return [others[v] * whole_inc[v] for v in range(n)]
 
 
-def star_vectors_tree_dp(g: Graph, max_size: Optional[int] = None) -> list[list[int]]:
-    """star_vector_tree_dp(g, v, max_size) for every vertex v of the forest g,
-    from one rerooting pass; max_size may not exceed n."""
-    cap = g.n if max_size is None else max_size
-    return [_unpack(poly, g.n, cap) for poly in _star_polys(g, cap)]
+def star_vectors_tree_dp(g: Graph) -> list[list[int]]:
+    """star_vector_tree_dp(g, v) for every vertex v of the forest g, from one
+    rerooting pass."""
+    return [_unpack(poly, g.n) for poly in _star_polys(g)]
 
 
 def _star_column(g: Graph, r: int) -> list[int]:
-    """s_r(v) for every vertex v of the forest g: column r of
-    star_vectors_tree_dp(g, r), shifting out only coefficient r."""
+    """s_r(v) for every vertex v of the forest g, for an int r >= 0 (all 0 when
+    r > n): column r of star_vectors_tree_dp(g), shifting out only coefficient r."""
     w = g.n + 1
     mask = (1 << w) - 1
-    return [poly >> (w * r) & mask for poly in _star_polys(g, r)]
+    return [poly >> (w * r) & mask for poly in _star_polys(g)]
 
 
 def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int = 0,
@@ -268,20 +250,20 @@ def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int =
     under every method; r < 0, an anchor outside g or inside `forbidden`, and
     a forbidden vertex outside g raise GraphError.
     """
-    if not _is_int(r) or r < 0:
-        raise GraphError(f"set size r={r} out of range for n={g.n}")
+    _int_arg("r", r, 0)
     _check_anchor(g, anchor, forbidden)
     if method == "auto":
         tree = anchor is not None and not forbidden and g.is_forest()
         method = TREE_DP if tree else ENUMERATION
+    # both counting routes stop at size n, so an r above n costs nothing extra
     if method == ENUMERATION:
-        return CountResult(indep_size_counts(g, anchor, forbidden, max_size=r)[r], ENUMERATION)
+        counts = indep_size_counts(g, anchor, forbidden, max_size=min(r, g.n))
+        return CountResult(counts[r] if r <= g.n else 0, ENUMERATION)
     if method == TREE_DP:
         if forbidden:
             raise GraphError("tree DP takes no forbidden vertices; use enumeration")
-        if anchor is None:
-            return CountResult(indep_size_counts_tree_dp(g, r)[r], TREE_DP)
-        return CountResult(star_vector_tree_dp(g, anchor, r)[r], TREE_DP)
+        counts = indep_size_counts_tree_dp(g) if anchor is None else star_vector_tree_dp(g, anchor)
+        return CountResult(counts[r] if r <= g.n else 0, TREE_DP)
     if method == CLOSED_FORM:
         if anchor is not None or forbidden:
             raise GraphError("closed form has no anchored/restricted variant")
@@ -293,10 +275,8 @@ def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int =
 
 def star_size(g: Graph, v: int, r: int) -> CountResult:
     """s_r(v): exact count of independent r-sets containing v."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range")
-    if not 0 <= r <= g.n:
-        raise GraphError(f"r={r} out of range")
+    _int_arg("v", v, 0, g.n - 1)
+    _int_arg("r", r, 0, g.n)
     return count_rsets(g, r, anchor=v)
 
 
@@ -395,7 +375,7 @@ def merge_tree_paths(t: Graph, removed: int) -> PathMerge:
     """
     if not t.is_tree():
         raise GraphError("merge_tree_paths expects a tree")
-    removed &= t.vertex_mask
+    _int_arg("removed", removed, 0, t.vertex_mask)
     rest = t.vertex_mask & ~removed
     if not rest:
         raise GraphError("nothing left to merge after removal")
@@ -429,13 +409,11 @@ def splitstar_witness(merged: PathMerge, a_mask: int, junction: int = 0) -> int:
         raise GraphError("witness surgery needs more than one removed branch vertex")
     if not merged.junctions:
         raise GraphError("merge has no junction to trade against")
-    if not 0 <= junction < len(merged.junctions):
-        raise GraphError(f"junction index {junction} out of range")
+    _int_arg("junction", junction, 0, len(merged.junctions) - 1)
+    _int_arg("a_mask", a_mask, 0, merged.graph.vertex_mask)
     r = a_mask.bit_count()
     if r < 2:
         raise GraphError("witness surgery needs r >= 2")
-    if a_mask & ~merged.graph.vertex_mask:
-        raise GraphError("A mentions positions outside the merged path")
     if not merged.independent_in_pieces(a_mask):
         raise GraphError("A is not independent in the piece graph")
     u1, u2 = merged.junctions[junction]

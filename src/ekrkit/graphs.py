@@ -24,6 +24,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_arg(name: str, x, lo: Optional[int] = None, hi: Optional[int] = None):
+    """x, if it is an int (not a bool) with lo <= x <= hi, where an end that is
+    None is open: the one rule for every size, vertex and vertex-mask argument.
+    Otherwise GraphError, naming name=x and the bound."""
+    if _is_int(x) and (lo is None or lo <= x) and (hi is None or x <= hi):
+        return x
+    if hi is None:
+        bound = name if lo is None else f"{name} >= {lo}"
+    else:
+        bound = f"{name} <= {hi}" if lo is None else f"{lo} <= {name} <= {hi}"
+    raise GraphError(f"need an int {bound}, got {name}={x!r}")
+
+
 class Graph6Error(GraphError):
     """Malformed graph6 text.  `kind` pins down which rule was broken."""
 
@@ -72,9 +85,7 @@ class Graph:
     __slots__ = ("n", "adj", "label")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), label: str = ""):
-        if not _is_int(n) or n < 1:
-            raise GraphError(f"vertex count must be a positive int, got {n!r}")
-        if n > MAX_VERTICES:
+        if _int_arg("n", n, 1) > MAX_VERTICES:
             raise GraphError(f"vertex count {n} exceeds the {MAX_VERTICES}-vertex limit")
         rows = [0] * n
         for u, v in edges:
@@ -313,9 +324,7 @@ def spider_order(legs) -> list[int]:
     descending order; ties keep input order.  Returns indices pi with
     ordered[j] = legs[pi[j]].
     """
-    legs = list(legs)
-    if any(not _is_int(x) or x < 1 for x in legs):
-        raise GraphError(f"leg lengths must be positive ints, got {legs!r}")
+    legs = [_int_arg("leg", x, 1) for x in legs]
 
     def key(i):
         length = legs[i]
@@ -534,9 +543,7 @@ def automorphism_generators(g: Graph, setwise: int = 0) -> list[tuple]:
     limit.  Every permutation returned has been checked against the
     adjacency rows and against `setwise`.
     """
-    n = g.n
-    if not isinstance(setwise, int) or setwise < 0 or setwise >> n:
-        raise GraphError(f"setwise mask {setwise!r} is not a vertex set of a graph with n={n}")
+    _int_arg("setwise", setwise, 0, g.vertex_mask)
     gens = _tree_generators(g, setwise)
     return _refinement_generators(g, setwise) if gens is None else gens
 

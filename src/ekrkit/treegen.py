@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterable, Optional
 
-from .graphs import Graph, GraphError, _is_int, bit_list, emit_graph6, max_independent_set_size
+from .graphs import Graph, GraphError, _int_arg, bit_list, emit_graph6, max_independent_set_size
 from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget, is_r_ekr, is_r_hk
 
 # number of free trees on n = 1..20 vertices (OEIS A000055)
@@ -27,8 +27,7 @@ FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 774
 
 def prufer_decode(seq: tuple, n: int) -> list[tuple[int, int]]:
     """Edges of the labeled tree on n vertices with the given Pruefer sequence."""
-    if n < 1:
-        raise GraphError(f"need at least one vertex, got n={n}")
+    _int_arg("n", n, 1)
     if len(seq) != max(0, n - 2):
         raise GraphError(f"sequence length must be n-2={n - 2}, got {len(seq)}")
     if n == 1:
@@ -146,8 +145,6 @@ _FREE_CACHE: dict[int, list[tuple]] = {1: [()]}
 
 
 def _free_tree_edge_lists(n: int) -> list[tuple]:
-    if n < 1:
-        raise GraphError(f"need at least one vertex, got n={n}")
     for m in range(max(_FREE_CACHE) + 1, n + 1):
         grown = (edges + ((v, m - 1),) for edges in _FREE_CACHE[m - 1] for v in range(m - 1))
         _FREE_CACHE[m] = sorted(_first_of_each_class(m, grown),
@@ -158,7 +155,7 @@ def _free_tree_edge_lists(n: int) -> list[tuple]:
 def free_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices."""
     return [Graph(n, edges, label=f"free-tree-{n}-{i}")
-            for i, edges in enumerate(_free_tree_edge_lists(n))]
+            for i, edges in enumerate(_free_tree_edge_lists(_int_arg("n", n, 1)))]
 
 
 # -- exhaustive sweeps ---------------------------------------------------
@@ -244,8 +241,8 @@ def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = No
     check = _CHECKS.get(prop)
     if check is None:
         raise GraphError(f"unknown sweep property {prop!r}")
-    if r_max is not None and (not _is_int(r_max) or r_max < 1):
-        raise GraphError(f"r_max must be at least 1, got {r_max}")
+    if r_max is not None:
+        _int_arg("r_max", r_max, 1)
     seen = checks = blown = n_max = 0
     findings = []
     for g in graphs:
@@ -281,8 +278,8 @@ def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
     class and are counted, not decoded.  Sizes past the table are scanned to
     the end.  labeled_seen is the sum of n^(n-2) over the swept sizes.
     """
-    if n_max < n_min:
-        raise GraphError(f"n_max={n_max} below n_min={n_min}")
+    _int_arg("n_min", n_min, 1)
+    _int_arg("n_max", n_max, n_min)
 
     def labeled_representatives():
         for n in range(n_min, n_max + 1):

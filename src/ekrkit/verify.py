@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .families import _star_column, all_independent_sets, enum_independent_rsets
-from .graphs import (Graph, GraphError, SpiderSpec, _is_int, automorphism_generators,
+from .graphs import (Graph, GraphError, SpiderSpec, _int_arg, automorphism_generators,
                      bit_list, iter_bits)
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -64,18 +64,12 @@ STRICTLY_EKR = "strictly_ekr"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-def _is_count(x) -> bool:
-    """x is an int >= 1; a bool is an int to isinstance, but not a count."""
-    return _is_int(x) and x >= 1
-
-
 @dataclass(frozen=True)
 class SearchBudget:
     max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self):
-        if not _is_count(self.max_nodes):
-            raise GraphError(f"budget must allow at least one node, got {self.max_nodes!r}")
+        _int_arg("max_nodes", self.max_nodes, 1)
 
 
 @dataclass(frozen=True)
@@ -345,9 +339,7 @@ def _candidates(g: Graph, r: Optional[int]) -> list[int]:
     """The independent r-sets of g; every nonempty independent set if r is None."""
     if r is None:
         return all_independent_sets(g)
-    if not _is_count(r):
-        raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
-    cands = enum_independent_rsets(g, r)
+    cands = enum_independent_rsets(g, _int_arg("r", r, 1))
     if not cands:
         raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
     return cands
@@ -447,9 +439,7 @@ class HkReport:
 def _star_sizes(t: Graph, r: int) -> tuple:
     """s_r(v) for every vertex of the forest t; GraphError unless r >= 1 and some
     independent r-set exists."""
-    if not _is_count(r):
-        raise GraphError(f"set size must satisfy r >= 1, got {r!r}")
-    sizes = tuple(_star_column(t, r))
+    sizes = tuple(_star_column(t, _int_arg("r", r, 1)))
     if not max(sizes):
         raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
     return sizes

@@ -221,6 +221,16 @@ def test_rmax_frozen_values():
     assert B.rmax("T3", BoundQuery(n=100, d=2)) == [1, 2, 3]
 
 
+def test_rmax_refuses_ranges_it_cannot_list():
+    # the last r to try is worked out before any list is built; these ranges
+    # run from about 5.4e6 (T3) to 1.4e10 (T8) values
+    for theorem, q in [("T8", BoundQuery(n=10 ** 12)), ("T5", BoundQuery(n=10 ** 16)),
+                       ("T6", BoundQuery(n=10 ** 16, s=1)), ("T3", BoundQuery(n=10 ** 14, d=1)),
+                       ("T2-avg", BoundQuery(n=10 ** 30, c_density=Fraction(1)))]:
+        with pytest.raises(GraphError, match="more than the 1048576 values of r rmax lists"):
+            B.rmax(theorem, q)
+
+
 def test_rmax_t3_closed_form_matches_condition():
     for n in range(-3, 300):
         for d in range(1, 5):

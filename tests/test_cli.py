@@ -426,6 +426,11 @@ def test_file_errors_are_input_errors(capsys, tmp_path, argv):
     *([cmd, "--n-max", "3", "--r-max", r] for cmd in ("search-hk", "search-ekr")
       for r in ("0", "-1")),
     ["search-hk", "--n-max", "3", "--n-min", "0"],
+    ["peel", "--graph", "star:9", "--threshold", "6", "--c", "1", "--r", "0"],
+    ["peel", "--graph", "star:9", "--threshold", "6", "--c", "1/0", "--r", "1"],
+    ["peel", "--graph", "star:9", "--threshold", "6", "--c", "1", "--r", "-1"],
+    ["bounds", "--theorem", "T2-avg", "--n", "10", "--c", "1/0", "--r", "1"],
+    ["bounds", "--theorem", "T8", "--n", "1000000000000"],  # more r than rmax lists
 ])
 def test_argument_errors_are_input_errors(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "catalog.txt").write_text("kpartite:3,3\n", encoding="ascii")
@@ -541,7 +546,7 @@ PUBLIC_SIGNATURES = {
     'hm_identity_check': '(n, r)',
     'hypothesis': '(theorem, q)',
     'indep_size_counts': '(g, anchor=None, forbidden=0, max_size=None)',
-    'indep_size_counts_tree_dp': '(g, max_size=None)',
+    'indep_size_counts_tree_dp': '(g)',
     'is_intersecting': '(family)',
     'is_r_ekr': '(g, r, budget=None)',
     'is_r_hk': '(t, r)',
@@ -572,8 +577,8 @@ PUBLIC_SIGNATURES = {
     'splitstar_witness': '(merged, a_mask, junction=0)',
     'star_center': '(family)',
     'star_size': '(g, v, r)',
-    'star_vector_tree_dp': '(g, v, max_size=None)',
-    'star_vectors_tree_dp': '(g, max_size=None)',
+    'star_vector_tree_dp': '(g, v)',
+    'star_vectors_tree_dp': '(g)',
     'tree_certificate': '(n, edges)',
     'write_grid_csv': '(suite, stream)',
     'write_grid_json': '(suite, stream)',

@@ -70,7 +70,7 @@ def test_enum_anchor_and_forbidden():
 def test_anchor_and_forbidden_validation():
     g = generate("path:4")
     for r in (-1, 5):
-        with pytest.raises(GraphError, match=f"set size r={r} out of range for n=4"):
+        with pytest.raises(GraphError, match=f"need an int 0 <= r <= 4, got r={r}"):
             enum_independent_rsets(g, r)
     # indep_size_counts and count_rsets take anchor and forbidden by the same rules
     for kw in (dict(anchor=9), dict(anchor=-1), dict(forbidden=H.mask([9])),
@@ -79,7 +79,7 @@ def test_anchor_and_forbidden_validation():
             indep_size_counts(g, **kw)
         with pytest.raises(GraphError):
             count_rsets(g, 2, **kw)
-    with pytest.raises(GraphError, match="set size r=-1 out of range for n=4"):
+    with pytest.raises(GraphError, match="need an int r >= 0, got r=-1"):
         count_rsets(g, -1)
     assert indep_size_counts(g, anchor=0, forbidden=H.mask([2])) == [0, 1, 1, 0, 0]
 
@@ -139,6 +139,8 @@ def test_count_rsets_method_tag():
     assert count_rsets(s, 2, anchor=2, forbidden=1) == CountResult(4, ENUMERATION)
     assert count_rsets(g, 2, anchor=1) == CountResult(2, ENUMERATION)
     assert count_rsets(generate("path:4"), 7, anchor=1, method=TREE_DP) == CountResult(0, TREE_DP)
+    for method in ("auto", ENUMERATION, TREE_DP, CLOSED_FORM):  # nothing r long is built
+        assert count_rsets(generate("path:4"), 10 ** 12, method=method).count == 0
     for kw in ({"forbidden": 1, "method": TREE_DP}, {"anchor": 0, "method": CLOSED_FORM},
                {"method": "auto-ish"}):
         with pytest.raises(GraphError):
@@ -209,40 +211,33 @@ def test_star_vector_vs_enumeration_random_trees():
 
 def test_star_vector_cap_zero_on_one_vertex():
     g = Graph(1)
-    assert star_vector_tree_dp(g, 0, max_size=0) == [0]
-    assert star_vectors_tree_dp(g, max_size=0) == [[0]]
+    assert star_vector_tree_dp(g, 0)[:1] == [0]
+    assert [vec[:1] for vec in star_vectors_tree_dp(g)] == [[0]]
     assert star_vectors_tree_dp(g) == [[0, 1]]
 
 
 def test_star_vectors_match_per_vertex_routes_on_free_trees():
     for n in range(1, 10):
         for g in free_trees(n):
+            full = star_vectors_tree_dp(g)
+            assert full == [star_vector_tree_dp(g, v) for v in range(n)], g.edges()
             for cap in range(1, n + 1):
-                got = star_vectors_tree_dp(g, cap)
-                assert got == [star_vector_tree_dp(g, v, cap) for v in range(n)], (g.edges(), cap)
-                assert got == [indep_size_counts(g, anchor=v, max_size=cap)
-                               for v in range(n)], (g.edges(), cap)
+                assert [vec[:cap + 1] for vec in full] == [
+                    indep_size_counts(g, anchor=v, max_size=cap) for v in range(n)], (g.edges(), cap)
 
 
 def test_star_vectors_validation():
     with pytest.raises(GraphError):
         star_vectors_tree_dp(generate("cycle:4"))
-    with pytest.raises(GraphError):
-        star_vectors_tree_dp(generate("path:4"), 5)
-    with pytest.raises(GraphError):
-        star_vectors_tree_dp(generate("path:4"), -1)
-    # a negative cap is the same error on the three tree-DP routes and on enumeration
+    # the tree DPs give every size 0..n; only enumeration takes a cap, which
+    # may not be negative and pads with zeros past n
     p4 = generate("path:4")
-    for route in (lambda cap: star_vectors_tree_dp(p4, cap),
-                  lambda cap: star_vector_tree_dp(p4, 1, cap),
-                  lambda cap: indep_size_counts_tree_dp(p4, cap),
-                  lambda cap: indep_size_counts(p4, max_size=cap)):
-        for cap in (-1, -3):
-            with pytest.raises(GraphError, match=f"r={cap} out of range"):
-                route(cap)
-    # a cap above n pads with zeros on the two routes that take it
-    assert indep_size_counts_tree_dp(p4, 6) == [1, 4, 3, 0, 0, 0, 0]
-    assert star_vector_tree_dp(p4, 1, 6) == [0, 1, 1, 0, 0, 0, 0]
+    for cap in (-1, -3):
+        with pytest.raises(GraphError, match=f"need an int max_size >= 0, got max_size={cap}"):
+            indep_size_counts(p4, max_size=cap)
+    assert indep_size_counts(p4, max_size=6) == [1, 4, 3, 0, 0, 0, 0]
+    assert indep_size_counts_tree_dp(p4) == [1, 4, 3, 0, 0]
+    assert star_vector_tree_dp(p4, 1) == [0, 1, 1, 0, 0]
 
 
 def test_tree_dp_at_the_vertex_limit():
@@ -294,9 +289,9 @@ def test_star_vectors_on_forests_property(n, data):
     g = Graph(n, edges)
     cap = data.draw(st.integers(0, n))
     want = [indep_size_counts(g, anchor=v, max_size=cap) for v in range(n)]
-    assert star_vectors_tree_dp(g, cap) == want
-    assert [star_vector_tree_dp(g, v, cap) for v in range(n)] == want
-    assert indep_size_counts_tree_dp(g, cap) == indep_size_counts(g, max_size=cap)
+    assert [vec[:cap + 1] for vec in star_vectors_tree_dp(g)] == want
+    assert [star_vector_tree_dp(g, v)[:cap + 1] for v in range(n)] == want
+    assert indep_size_counts_tree_dp(g)[:cap + 1] == indep_size_counts(g, max_size=cap)
 
 def test_star_size_methods_agree_and_tag():
     g = generate("spider:2,2,2")
@@ -421,7 +416,7 @@ def test_rsets_and_tree_merges_are_pinned():
                 count += 1
     assert count == 13035
     assert digest.hexdigest() == (
-        "58a079a8d282863b50a6a41e23dd0f25c9736d3bce0c5564d3981a15adf18d8c")
+        "55d24f48b07c584677c9407b308e2bb5a889bdc46f098b283672adfe9b5100ea")
 
 
 def test_merge_piece_errors():
@@ -507,4 +502,5 @@ def test_tree_dp_vs_enumeration_property(n, r, data):
     seq = data.draw(st.lists(st.integers(0, n - 1), min_size=max(0, n - 2),
                              max_size=max(0, n - 2)))
     g = Graph(n, H.simple_prufer_decode(seq, n))
-    assert indep_size_counts_tree_dp(g, r)[r] == indep_size_counts(g, max_size=r)[r]
+    counts = indep_size_counts_tree_dp(g)
+    assert (counts[r] if r <= n else 0) == indep_size_counts(g, max_size=r)[r]

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekrkit.bounds as B
+import ekrkit.families as F
+import ekrkit.treegen as T
 import ekrkit.verify as V
 from ekrkit.families import TREE_DP, all_independent_sets, count_rsets, enum_independent_rsets
 from ekrkit.graphs import (Graph, GraphError, SpiderSpec, automorphism_generators, generate,
@@ -487,41 +489,96 @@ def test_hilton_milner_floor_changes_only_node_counts(monkeypatch):
     assert sum(a.nodes_explored for a in seeded) < sum(b.nodes_explored for b in plain)
 
 
-_NOT_R = "set size must satisfy r >= 1"
-_NOT_BUDGET = "budget must allow at least one node"
+_P5 = generate("path:5")
 
 
+def _peeled():
+    return B.peel(generate("star:9"), 6)
+
+
+# each size, vertex, vertex mask and rational argument follows one rule, with one
+# message: "need an int <bound>, got <name>=<value>" or "need a rational <name> ..."
 @pytest.mark.parametrize("call,message", [
-    (lambda: V.is_r_ekr(generate("path:5"), True), _NOT_R),
-    (lambda: V.is_strictly_r_ekr(generate("path:5"), True), _NOT_R),
-    (lambda: V.max_nonstar_intersecting(generate("path:5"), True), _NOT_R),
-    (lambda: V.is_r_hk(generate("path:5"), True), _NOT_R),
-    (lambda: V.SearchBudget(True), _NOT_BUDGET),
-    (lambda: V.SearchBudget(2.5), _NOT_BUDGET),
-    (lambda: V.SearchBudget("3"), _NOT_BUDGET),
-    (lambda: Graph(True, []), "vertex count must be a positive int"),
-    (lambda: count_rsets(generate("path:5"), True), "set size r=True out of range"),
-    (lambda: enum_independent_rsets(generate("path:5"), True), "set size r=True out of range"),
-    (lambda: search_catalog("ekr", [generate("path:5")], r_max=True), "r_max must be at least 1"),
+    (lambda: V.is_r_ekr(_P5, True), "need an int r >= 1, got r=True"),
+    (lambda: V.is_strictly_r_ekr(_P5, True), "need an int r >= 1, got r=True"),
+    (lambda: V.max_nonstar_intersecting(_P5, True), "need an int r >= 1, got r=True"),
+    (lambda: V.is_r_hk(_P5, True), "need an int r >= 1, got r=True"),
+    (lambda: V.SearchBudget(True), "need an int max_nodes >= 1, got max_nodes=True"),
+    (lambda: V.SearchBudget(2.5), "need an int max_nodes >= 1, got max_nodes=2.5"),
+    (lambda: V.SearchBudget("3"), "need an int max_nodes >= 1, got max_nodes='3'"),
+    (lambda: Graph(True, []), "need an int n >= 1, got n=True"),
+    (lambda: count_rsets(_P5, True), "need an int r >= 0, got r=True"),
+    (lambda: enum_independent_rsets(_P5, True), "need an int 0 <= r <= 5, got r=True"),
+    (lambda: search_catalog("ekr", [_P5], r_max=True), "need an int r_max >= 1, got r_max=True"),
     (lambda: SpiderSpec((True, 2, 2)), "leg lengths must be >= 1"),
-    (lambda: B.peel(generate("path:5"), True), "peel threshold must be >= 1"),
-    (lambda: B.peel(generate("path:5"), 2.5), "peel threshold must be >= 1"),
-    (lambda: B.check_exp_linear(0.1, True), "need k >= 1"),
-    (lambda: B.check_one_minus_exp(0.1, 2.0), "need k >= 1"),
-    (lambda: B.check_degree_product(3.0, 2, 100), "need r, d >= 2"),
-    (lambda: B.check_degree_product(2, 2.0, 100), "need r, d >= 2"),
-    (lambda: B.check_degree_product(2, 2, 100.0), "need n >= 1"),
-    (lambda: B.binoms_ineq_check(True, 1), "T5 needs an integer n"),
-    (lambda: B.binoms2_ineq_check(100, 5, True), "binom-split needs integers n, r, s"),
-    (lambda: B.hypothesis("T5", B.BoundQuery(n=100, r=True)), "T5 needs an integer r"),
-    (lambda: B.hypothesis("T3", B.BoundQuery(n=100, r=2, d=2.5)), "T3 needs an integer d"),
-    (lambda: B.rmax("T6", B.BoundQuery(n=100, s=True)), "T6 needs an integer s"),
-    (lambda: B.rmax("T8", B.BoundQuery(n=1000.5)), "T8 needs an integer n"),
+    (lambda: B.peel(_P5, True), "need an int threshold >= 1, got threshold=True"),
+    (lambda: B.peel(_P5, 2.5), "need an int threshold >= 1, got threshold=2.5"),
+    (lambda: B.check_exp_linear(0.1, True), "need an int k >= 1, got k=True"),
+    (lambda: B.check_one_minus_exp(0.1, 2.0), "need an int k >= 1, got k=2.0"),
+    (lambda: B.check_degree_product(3.0, 2, 100), "need an int r >= 2, got r=3.0"),
+    (lambda: B.check_degree_product(2, 2.0, 100), "need an int d >= 2, got d=2.0"),
+    (lambda: B.check_degree_product(2, 2, 100.0), "need an int n >= 1, got n=100.0"),
+    (lambda: B.binoms_ineq_check(True, 1), "need an int n >= 0, got n=True"),
+    (lambda: B.binoms2_ineq_check(100, 5, True), "need an int s, got s=True"),
+    (lambda: B.hypothesis("T5", B.BoundQuery(n=100, r=True)), "need an int r >= 1, got r=True"),
+    (lambda: B.hypothesis("T3", B.BoundQuery(n=100, r=2, d=2.5)), "need an int d >= 1, got d=2.5"),
+    (lambda: B.rmax("T6", B.BoundQuery(n=100, s=True)), "need an int s, got s=True"),
+    (lambda: B.rmax("T8", B.BoundQuery(n=1000.5)), "need an int n, got n=1000.5"),
+    (lambda: B.big_star_lower(72, True, 3, 1), "need an int r >= 1, got r=True"),
+    (lambda: B.big_star_lower(72.0, 2, 3, 1), "need an int n >= 1, got n=72.0"),
+    (lambda: B.claim_star_lower(10, True, 3), "need an int d, got d=True"),
+    (lambda: B.claim_star_lower(10, 3, 3.0), "need an int r >= 1, got r=3.0"),
+    (lambda: B.peel_bound_check(_peeled(), 1, True), "need an int r >= 1, got r=True"),
+    (lambda: B.peel_bound_check(_peeled(), 1, 2.0), "need an int r >= 1, got r=2.0"),
+    (lambda: B.peel_bound_check(_peeled(), True, 2), "need a rational c .*, got c=True"),
+    (lambda: B.peel_bound_check(_peeled(), "1/0", 2), "need a rational c .*, got c='1/0'"),
+    (lambda: B.spider_star_lower(7, True, 2), "need an int k, got k=True"),
+    (lambda: B.spider_star_lower(7, 3, 2.0), "need an int r, got r=2.0"),
+    (lambda: B.split_star_lower(True, 2, 2), "need an int n, got n=True"),
+    (lambda: B.split_star_lower(6, 2.0, 2), "need an int s, got s=2.0"),
+    (lambda: B.ekr_bound(True, 2), "need an int n, got n=True"),
+    (lambda: B.ekr_bound(9, 2.0), "need an int r, got r=2.0"),
+    (lambda: B.hm_bound(9, True), "need an int r, got r=True"),
+    (lambda: B.hm_bound(9.0, 4), "need an int n, got n=9.0"),
+    (lambda: B.frankl_bound(True, 2), "need an int n, got n=True"),
+    (lambda: B.frankl_bound(9, 2.0), "need an int r, got r=2.0"),
+    (lambda: F.count_path_rsets(5, True), "need an int r >= 0, got r=True"),
+    (lambda: F.count_path_rsets(5, 2.0), "need an int r >= 0, got r=2.0"),
+    (lambda: F.indep_size_counts(_P5, max_size=True), "need an int max_size >= 0, got max_size=True"),
+    (lambda: F.indep_size_counts(_P5, max_size=2.0), "need an int max_size >= 0, got max_size=2.0"),
+    (lambda: F.star_size(_P5, True, 2), "need an int 0 <= v <= 4, got v=True"),
+    (lambda: F.star_size(_P5, 1.0, 2), "need an int 0 <= v <= 4, got v=1.0"),
+    (lambda: F.star_vector_tree_dp(_P5, True), "need an int 0 <= v <= 4, got v=True"),
+    (lambda: F.star_vector_tree_dp(_P5, 1.0), "need an int 0 <= v <= 4, got v=1.0"),
+    (lambda: count_rsets(_P5, 2, anchor=True), "need an int 0 <= anchor <= 4, got anchor=True"),
+    (lambda: count_rsets(_P5, 2, anchor=1.0), "need an int 0 <= anchor <= 4, got anchor=1.0"),
+    (lambda: count_rsets(_P5, 2, forbidden=True), "need an int 0 <= forbidden <= 31, got forbidden=True"),
+    (lambda: count_rsets(_P5, 2, forbidden=2.0), "need an int 0 <= forbidden <= 31, got forbidden=2.0"),
+    (lambda: T.prufer_decode((), True), "need an int n >= 1, got n=True"),
+    (lambda: T.prufer_decode((), 2.0), "need an int n >= 1, got n=2.0"),
+    (lambda: free_trees(True), "need an int n >= 1, got n=True"),
+    (lambda: free_trees(3.0), "need an int n >= 1, got n=3.0"),
+    (lambda: T.search_trees("hk", True), "need an int n_max >= 2, got n_max=True"),
+    (lambda: T.search_trees("hk", 3.0), "need an int n_max >= 2, got n_max=3.0"),
+    (lambda: T.search_trees("hk", 4, n_min=True), "need an int n_min >= 1, got n_min=True"),
+    (lambda: T.search_trees("hk", 4, n_min=2.0), "need an int n_min >= 1, got n_min=2.0"),
+    (lambda: automorphism_generators(_P5, True), "need an int 0 <= setwise <= 31, got setwise=True"),
+    (lambda: automorphism_generators(_P5, 1.0), "need an int 0 <= setwise <= 31, got setwise=1.0"),
 ], ids=["ekr", "strict", "nonstar", "hk", "budget-bool", "budget-float", "budget-str",
         "graph-n", "count-r", "enum-r", "catalog-r-max", "spider-legs",
         "peel-bool", "peel-float", "exp-linear-k", "one-minus-exp-k", "degree-product-r",
         "degree-product-d", "degree-product-n", "binoms-n", "binoms2-s", "hypothesis-r",
-        "hypothesis-d", "rmax-s", "rmax-n"])
+        "hypothesis-d", "rmax-s", "rmax-n",
+        "big-star-bool", "big-star-float", "claim-star-bool", "claim-star-float",
+        "peel-bound-bool", "peel-bound-float", "peel-bound-c-bool", "peel-bound-c-zero-den",
+        "spider-star-bool", "spider-star-float", "split-star-bool", "split-star-float",
+        "ekr-bound-bool", "ekr-bound-float", "hm-bound-bool", "hm-bound-float",
+        "frankl-bound-bool", "frankl-bound-float", "path-rsets-bool", "path-rsets-float",
+        "max-size-bool", "max-size-float", "star-size-v-bool", "star-size-v-float",
+        "star-vector-v-bool", "star-vector-v-float", "anchor-bool", "anchor-float",
+        "forbidden-bool", "forbidden-float", "prufer-n-bool", "prufer-n-float",
+        "free-trees-bool", "free-trees-float", "n-max-bool", "n-max-float",
+        "n-min-bool", "n-min-float", "setwise-bool", "setwise-float"])
 def test_booleans_and_non_integers_are_not_sizes(call, message):
     with pytest.raises(GraphError, match=message):
         call()
