@@ -94,7 +94,6 @@ from .treegen import (
     SweepFinding,
     SweepSummary,
     free_trees,
-    prufer_decode,
     search_catalog,
     search_trees,
     tree_certificate,

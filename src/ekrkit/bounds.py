@@ -17,7 +17,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
@@ -339,6 +339,13 @@ def _check_query(theorem: str, q: BoundQuery, with_r: bool) -> None:
             _int_arg(name, getattr(q, name), least.get(name))
 
 
+def _dense_enough(c: Fraction) -> bool:
+    """T2-avg's c >= e/36, with MARGIN to spare, at PRECISION_BITS."""
+    mp = _mpmath()
+    with mp.workprec(PRECISION_BITS):
+        return bool(_mpf_of(c) >= mp.e / 36 + _mpf_of(MARGIN))
+
+
 def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
     """Whether the named threshold theorem applies at the query's parameters."""
     _check_query(theorem, q, with_r=True)
@@ -347,9 +354,7 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
         return Applicability(theorem, ok, (("8n > 27*d*r^2", ok),))
     if theorem == "T2-avg":
         c = q.c_density
-        mp = _mpmath()
-        with mp.workprec(PRECISION_BITS):
-            c_ok = bool(_mpf_of(c) >= mp.e / 36 + _mpf_of(MARGIN))
+        c_ok = _dense_enough(c)
         n_ok = Fraction(q.n) > 18 * c * q.r ** 3
         return Applicability(theorem, c_ok and n_ok,
                              (("c >= e/36", c_ok), ("n > 18*c*r^3", n_ok)))
@@ -374,6 +379,18 @@ def hypothesis(theorem: str, q: BoundQuery) -> Applicability:
 _RMAX_LEN = 2 ** 20
 
 
+def _icbrt(x: int) -> int:
+    """The largest int r with r^3 <= x, for an int x >= 0 (Newton's method from above)."""
+    if x == 0:
+        return 0
+    r = 1 << -(-x.bit_length() // 3)  # 2^ceil(bits/3) > cbrt(x)
+    while True:
+        s = (2 * r + x // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
 def rmax(theorem: str, q: BoundQuery) -> list[int]:
     """All r >= 1 at which the named theorem applies for the other parameters;
     GraphError, before anything is built, when the last r to try is past _RMAX_LEN."""
@@ -382,12 +399,10 @@ def rmax(theorem: str, q: BoundQuery) -> list[int]:
         top = (q.n - 1) // 72
     elif theorem == "T3":  # 8n > 27 d r^2 iff r^2 <= (8n - 1) // (27d)
         top = math.isqrt(max(8 * q.n - 1, 0) // (27 * q.d))
-    elif theorem == "T2-avg":  # applies at every r up to a threshold
-        top = _RMAX_LEN + 1
-        if not hypothesis(theorem, replace(q, r=top)).applicable:
-            top = 0
-            while hypothesis(theorem, replace(q, r=top + 1)).applicable:
-                top += 1
+    elif theorem == "T2-avg":  # c = p/q >= e/36; 18pr^3 < nq iff r^3 <= (nq - 1) // (18p)
+        c = q.c_density
+        top = (_icbrt(max(q.n * c.denominator - 1, 0) // (18 * c.numerator))
+               if _dense_enough(c) else 0)
     else:  # T5 (c = 2) applies up to one threshold; T6's c < 2 keeps r under it too
         top = _r_max_below_threshold(q.n, Fraction(2))
     if top > _RMAX_LEN:

@@ -89,8 +89,8 @@ class Graph:
             raise GraphError(f"vertex count {n} exceeds the {MAX_VERTICES}-vertex limit")
         rows = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+            if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u!r},{v!r}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"loop at vertex {u} not allowed")
             rows[u] |= 1 << v

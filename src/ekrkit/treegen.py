@@ -1,20 +1,18 @@
 """Tree enumeration and exhaustive property sweeps.
 
-Labeled trees come from Pruefer-sequence sweeps; isomorphism classes are
-deduplicated by an integer rooted-at-centre key (the Aho-Hopcroft-Ullman
-encoding).  The labeled sweep decodes and keys sequences in order and stops a
-size once every free-tree class (OEIS A000055) has appeared; the remaining
-sequences can only repeat a class.  Free trees are also generated directly by
-leaf extension, which is vastly cheaper for the larger sizes the
-counterexample hunts need.
+Free trees, one per isomorphism class, are generated by leaf extension: every
+tree on n vertices is a tree on n - 1 vertices plus a leaf, so growing each
+class representative of size n - 1 at every vertex reaches every class of
+size n.  Duplicates are dropped by an integer rooted-at-centre key (the
+Aho-Hopcroft-Ullman encoding), stopping a size once every class (OEIS
+A000055) has appeared.
 `search_catalog` checks a property on every graph of a catalog at every
 admissible set size and builds the canonical certificate only for findings;
-`search_trees` runs it on the first labeled tree of each class.
+`search_trees` runs it on the free trees of each size.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .graphs import Graph, GraphError, _int_arg, bit_list, emit_graph6, max_independent_set_size
@@ -23,39 +21,6 @@ from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget, is_r_ekr, is_r_hk
 # number of free trees on n = 1..20 vertices (OEIS A000055)
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
                     19320, 48629, 123867, 317955, 823065)
-
-
-def prufer_decode(seq: tuple, n: int) -> list[tuple[int, int]]:
-    """Edges of the labeled tree on n vertices with the given Pruefer sequence."""
-    _int_arg("n", n, 1)
-    if len(seq) != max(0, n - 2):
-        raise GraphError(f"sequence length must be n-2={n - 2}, got {len(seq)}")
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    deg = [1] * n
-    for x in seq:
-        if not 0 <= x < n:
-            raise GraphError(f"sequence entry {x} out of range")
-        deg[x] += 1
-    edges = []
-    ptr = 0
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    for x in seq:
-        edges.append((leaf, x))
-        deg[x] -= 1
-        if deg[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
-    return edges
 
 
 def _class_key(n: int, edges, shapes: dict) -> tuple:
@@ -268,26 +233,16 @@ def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = No
 def search_trees(prop: str, n_max: int, r_max: Optional[int] = None,
                  budget: Optional[SearchBudget] = None, n_min: int = 2,
                  on_finding: Optional[Callable] = None) -> SweepSummary:
-    """Sweep every labeled tree on n_min..n_max vertices for counterexamples.
+    """Sweep every tree on n_min..n_max vertices for counterexamples.
 
-    Pruefer sequences give all n^(n-2) labeled trees; isomorphism duplicates
-    are skipped, so the first tree of each class is checked once for every
-    admissible set size r.  Each sequence is decoded and given the integer
-    class key until all FREE_TREE_COUNTS[n-1] classes have appeared (for
-    n = 8 and 9 within the first 2% of them); the rest can only repeat a
-    class and are counted, not decoded.  Sizes past the table are scanned to
-    the end.  labeled_seen is the sum of n^(n-2) over the swept sizes.
+    The checks do not depend on labels, so one tree per isomorphism class,
+    `free_trees(n)`, is checked for every admissible set size r.
+    labeled_seen is the number of labeled trees those classes stand for, the
+    sum of n^(n-2) over the swept sizes (Cayley's formula).
     """
     _int_arg("n_min", n_min, 1)
     _int_arg("n_max", n_max, n_min)
-
-    def labeled_representatives():
-        for n in range(n_min, n_max + 1):
-            trees = (prufer_decode(seq, n) for seq in product(range(n), repeat=max(n - 2, 0)))
-            for i, edges in enumerate(_first_of_each_class(n, trees)):
-                yield Graph(n, edges, label=f"tree-{n}-{i}")
-
-    summary = search_catalog(prop, labeled_representatives(), r_max, budget, on_finding)
+    trees = (t for n in range(n_min, n_max + 1) for t in free_trees(n))
+    summary = search_catalog(prop, trees, r_max, budget, on_finding)
     labeled = sum(n ** max(n - 2, 0) for n in range(n_min, n_max + 1))
     return replace(summary, n_max=n_max, labeled_seen=labeled)
-

@@ -341,6 +341,51 @@ def test_rmax_t5_closed_form_matches_the_loop():
         assert _exact_applies("T5", n, top) and not _exact_applies("T5", n, top + 1), n
 
 
+def _e_over_36_plus(eps: Fraction) -> Fraction:
+    """e/36 + eps, with e/36 rounded to 40 digits (far below MARGIN = 1e-9)."""
+    mp = B._mpmath()
+    with mp.workdps(40):
+        return Fraction(mp.nstr(mp.e / 36, 40)) + eps
+
+
+def test_rmax_t2_avg_closed_form_matches_the_walk():
+    # one cube root gives the range; the oracle asks hypothesis for every r
+    cs = [Fraction(1), Fraction(1, 2), Fraction(5, 2), Fraction(3, 7), Fraction(0), Fraction(-1),
+          _e_over_36_plus(Fraction(2, 10 ** 9)),    # just above e/36 + MARGIN
+          _e_over_36_plus(Fraction(1, 2 * 10 ** 9)),  # above e/36, inside MARGIN
+          _e_over_36_plus(Fraction(-1, 10 ** 9))]   # just below e/36
+    for c in cs:
+        # n = 0 and 1, and 18 c r^3 = n exactly where c's denominator allows
+        ns = {0, 1, 2, 100, 9720}
+        for r in range(1, 7):
+            edge = 18 * c * r ** 3
+            if edge.denominator == 1:
+                ns |= {int(edge) - 1, int(edge), int(edge) + 1}
+        for n in sorted(ns):
+            q = BoundQuery(n=n, c_density=c)
+            want = [r for r in range(1, 40) if B.hypothesis("T2-avg", replace(q, r=r)).applicable]
+            assert B.rmax("T2-avg", q) == want, (n, c)
+    assert B.rmax("T2-avg", BoundQuery(n=18, c_density=1)) == []
+    assert B.rmax("T2-avg", BoundQuery(n=19, c_density=1)) == [1]
+    assert B.rmax("T2-avg", BoundQuery(n=9720, c_density=cs[6])) == list(range(1, 20))
+    assert B.rmax("T2-avg", BoundQuery(n=9720, c_density=cs[7])) == []
+    assert B.rmax("T2-avg", BoundQuery(n=9720, c_density=cs[8])) == []
+
+
+def test_rmax_t2_avg_guard_needs_no_walk(monkeypatch):
+    # exactly 2^20 values are listed and one more is refused, with no per-r test
+    def no_walk(*args):
+        raise AssertionError("rmax walked r")
+
+    monkeypatch.setattr(B, "hypothesis", no_walk)
+    top = B._RMAX_LEN
+    q = BoundQuery(n=18 * top ** 3 + 1, c_density=1)
+    got = B.rmax("T2-avg", q)
+    assert (len(got), got[0], got[-1]) == (top, 1, top)
+    with pytest.raises(GraphError, match="more than the 1048576 values of r rmax lists"):
+        B.rmax("T2-avg", replace(q, n=18 * (top + 1) ** 3 + 1))
+
+
 def test_rmax_t6_matches_the_120_bit_answer_at_large_n():
     # these n decide every r in floats: compare the range with the 120-bit oracle
     # at both ends, just outside them, and at 200 seeded r in between

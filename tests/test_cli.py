@@ -486,7 +486,7 @@ PUBLIC_NAMES = [
     "mask_of", "max_independent_set_size", "max_nonstar_intersecting", "merge_paths",
     "merge_tree_paths", "min_maximal_independent_set_size", "nonuniform_ekr",
     "parse_edge_list", "parse_graph6", "peel", "peel_bound_check",
-    "peel_certificates_ok", "prufer_decode", "read_graph6_lines", "rmax", "run_grid",
+    "peel_certificates_ok", "read_graph6_lines", "rmax", "run_grid",
     "search_catalog", "search_trees", "spider_order", "spider_order_check",
     "spider_star_lower", "split_star_lower", "splitstar_witness", "star_center",
     "star_size", "star_vector_tree_dp", "star_vectors_tree_dp", "tree_certificate",
@@ -564,7 +564,6 @@ PUBLIC_SIGNATURES = {
     'peel': '(g, threshold)',
     'peel_bound_check': '(report, c, r)',
     'peel_certificates_ok': '(report)',
-    'prufer_decode': '(seq, n)',
     'read_graph6_lines': '(text)',
     'rmax': '(theorem, q)',
     'run_grid': '(suite)',
@@ -639,7 +638,7 @@ GOLDENS = [
     ("search-ekr --catalog catalog.txt --r-max 3", 0,
      "c825595c5cdd289b45e2502b31bf69748b80664d98d97fb443f4be5de7c04277"),
     ("search-ekr --n-max 7 --r-max 3", 0,
-     "2dc4462fb8890da8cd2d66daa36895a03b4363d058306a2af17e824a423c3bb0"),
+     "43c06df69551d9e6d2384eb882cd79eb5c5de7056efe8251c80f932e6a2168d2"),
     # the counting policy under each --method, budget-exceeded verdicts and the
     # streamed grid JSON
     ("count --graph spider:2,2,2 --r 3 --method enumeration", 0,

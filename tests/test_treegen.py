@@ -1,7 +1,7 @@
 import hashlib
 import random
-from dataclasses import replace
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -13,47 +13,25 @@ from ekrkit.verify import SearchBudget
 import helpers as H
 
 
-# -- Pruefer decoding ---------------------------------------------------------
-
-def test_prufer_decode_frozen():
-    assert T.prufer_decode((), 1) == []
-    assert T.prufer_decode((), 2) == [(0, 1)]
-    assert sorted(tuple(sorted(e)) for e in T.prufer_decode((3, 3, 3), 5)) == [
-        (0, 3), (1, 3), (2, 3), (3, 4)]
-    assert sorted(tuple(sorted(e)) for e in T.prufer_decode((0, 1, 2), 5)) == [
-        (0, 1), (0, 3), (1, 2), (2, 4)]
-
-
-def test_prufer_decode_validation():
-    with pytest.raises(GraphError):
-        T.prufer_decode((), 0)
-    with pytest.raises(GraphError):
-        T.prufer_decode((1,), 2)
-    with pytest.raises(GraphError):
-        T.prufer_decode((5,), 3)
-
+# -- the labeled-tree reference (test helpers) ----------------------------------
 
 def test_prufer_decode_matches_textbook_and_networkx():
     rng = random.Random(77)
     for _ in range(60):
         n = rng.randint(3, 12)
         seq = tuple(rng.randrange(n) for _ in range(n - 2))
-        got = {tuple(sorted(e)) for e in T.prufer_decode(seq, n)}
         slow = {tuple(sorted(e)) for e in H.simple_prufer_decode(seq, n)}
-        assert got == slow
         via_nx = {tuple(sorted(e)) for e in nx.from_prufer_sequence(list(seq)).edges()}
-        assert got == via_nx
-        assert H.is_tree(n, got)
+        assert slow == via_nx
+        assert H.is_tree(n, slow)
 
 
 def test_iter_labeled_trees_counts():
-    # the test-side reference sweep gives the package decoder's edge lists
+    # Cayley's formula: n^(n-2) labeled trees on n vertices
     for n, want in [(1, 1), (2, 1), (3, 3), (4, 16), (5, 125)]:
         trees = list(H.iter_labeled_trees(n))
         assert len(trees) == want
         assert all(H.is_tree(n, e) for e in trees)
-        assert trees == [T.prufer_decode(seq, n)
-                         for seq in product(range(n), repeat=max(n - 2, 0))]
 
 
 # -- canonical certificates -----------------------------------------------------
@@ -224,7 +202,7 @@ def reference_trees():
     return reps
 
 
-def test_search_trees_checks_the_reference_representatives(monkeypatch, reference_trees):
+def test_search_trees_checks_the_reference_representatives(monkeypatch):
     checked = []
 
     def alpha(g):
@@ -233,41 +211,35 @@ def test_search_trees_checks_the_reference_representatives(monkeypatch, referenc
 
     monkeypatch.setattr(T, "max_independent_set_size", alpha)
     T.search_trees(T.PROP_HK, 8, r_max=1)
-    assert checked == [(g.label, g.edges()) for g in reference_trees]
+    assert checked == [(g.label, g.edges()) for n in range(2, 9) for g in T.free_trees(n)]
+
+
+def _finding_classes(summary):
+    """Findings as a multiset of what does not depend on the representative's labels."""
+    rows = Counter()
+    for f in summary.findings:
+        d = dict(f.detail)
+        rows[f.n, f.r, f.certificate, f.verdict, d["max_star_size"],
+             d["max_intersecting_size"], len(d["witness"])] += 1
+    return rows
 
 
 def test_search_trees_ekr_matches_reference_catalog(reference_trees):
     summary = T.search_trees(T.PROP_EKR, 8, r_max=3)
     reference = T.search_catalog(T.PROP_EKR, reference_trees, r_max=3)
     assert summary.labeled_seen == sum(n ** (n - 2) for n in range(2, 9)) == 280392
-    assert summary.to_json_dict() == replace(
-        reference, labeled_seen=summary.labeled_seen).to_json_dict()
-
-
-def test_search_trees_n9_representatives_pinned(monkeypatch):
-    # the first labeled tree of each of the 47 classes on 9 vertices, as the
-    # full scan of all 9^7 Pruefer sequences found them
-    h = hashlib.sha256()
-    count = 0
-
-    def alpha(g):
-        nonlocal count
-        count += 1
-        h.update(f"{g.label} {g.edges()}".encode())
-        return max_independent_set_size(g)
-
-    monkeypatch.setattr(T, "max_independent_set_size", alpha)
-    summary = T.search_trees(T.PROP_HK, 9, n_min=9, r_max=1)
-    assert count == summary.unique_graphs == 47
-    assert summary.labeled_seen == 9 ** 7
-    assert h.hexdigest() == (
-        "6696acca642ff748181953e4d905f3bce2a2c8eea04a44c1c449e2065410f28b")
+    assert (summary.unique_graphs, summary.checks, summary.budget_exceeded) == (
+        reference.unique_graphs, reference.checks, reference.budget_exceeded)
+    assert _finding_classes(summary) == _finding_classes(reference)
+    assert sum(_finding_classes(summary).values()) > 0
 
 
 def test_search_trees_scans_to_the_end_without_every_class(monkeypatch):
-    # a class key that merges two classes never reaches the count, so the
-    # sweep decodes every sequence and reports one class fewer
-    real_key, real_decode = T._class_key, T.prufer_decode
+    # free trees on 6 vertices are grown from the 3 on 5 at each of 5 vertices;
+    # the 6 classes have all appeared before the last of those 15, but a class
+    # key that merges two classes never reaches the count, so the sweep scans
+    # every one and reports one class fewer
+    real_key, real_first = T._class_key, T._first_of_each_class
     path = generate("path:6").edges()
 
     def merged_key(n, edges, shapes):
@@ -275,22 +247,38 @@ def test_search_trees_scans_to_the_end_without_every_class(monkeypatch):
             edges = path
         return real_key(n, edges, shapes)
 
-    decodes = 0
+    grown = 0
 
-    def counting_decode(seq, n):
-        nonlocal decodes
-        decodes += 1
-        return real_decode(seq, n)
+    def counting_first(n, edge_lists):
+        def counted():
+            nonlocal grown
+            for edges in edge_lists:
+                grown += n == 6
+                yield edges
+        return real_first(n, counted())
 
-    monkeypatch.setattr(T, "prufer_decode", counting_decode)
+    monkeypatch.setattr(T, "_first_of_each_class", counting_first)
+    monkeypatch.setattr(T, "_FREE_CACHE", {1: [()]})
     summary = T.search_trees(T.PROP_HK, 6, n_min=6, r_max=1)
     assert summary.unique_graphs == T.FREE_TREE_COUNTS[5] == 6
-    assert decodes < 6 ** 4
-    decodes = 0
+    assert grown < 3 * 5
+    grown = 0
     monkeypatch.setattr(T, "_class_key", merged_key)
+    monkeypatch.setattr(T, "_FREE_CACHE", {1: [()]})
     summary = T.search_trees(T.PROP_HK, 6, n_min=6, r_max=1)
-    assert decodes == 6 ** 4 == summary.labeled_seen
+    assert grown == 3 * 5
     assert summary.unique_graphs == 5
+    assert summary.labeled_seen == 6 ** 4
+
+
+def test_search_trees_hk_n13_anchor():
+    # the one hk finding on 13 vertices, past any labeled sweep's reach
+    # (13^11 labeled trees)
+    summary = T.search_trees(T.PROP_HK, 13, n_min=13)
+    assert (summary.labeled_seen, summary.unique_graphs, summary.checks) == (
+        13 ** 11, 1301, 10592)
+    assert [(f.n, f.r, f.graph6, f.verdict) for f in summary.findings] == [
+        (13, 6, "LqGPA?@O??`??_", "leaf_not_max")]
 
 
 def test_search_trees_validation():

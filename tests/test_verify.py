@@ -554,8 +554,8 @@ def _peeled():
     (lambda: count_rsets(_P5, 2, anchor=1.0), "need an int 0 <= anchor <= 4, got anchor=1.0"),
     (lambda: count_rsets(_P5, 2, forbidden=True), "need an int 0 <= forbidden <= 31, got forbidden=True"),
     (lambda: count_rsets(_P5, 2, forbidden=2.0), "need an int 0 <= forbidden <= 31, got forbidden=2.0"),
-    (lambda: T.prufer_decode((), True), "need an int n >= 1, got n=True"),
-    (lambda: T.prufer_decode((), 2.0), "need an int n >= 1, got n=2.0"),
+    (lambda: Graph(3, [(True, 2)]), r"edge \(True,2\) out of range for n=3"),
+    (lambda: Graph(3, [(0.0, 2)]), r"edge \(0.0,2\) out of range for n=3"),
     (lambda: free_trees(True), "need an int n >= 1, got n=True"),
     (lambda: free_trees(3.0), "need an int n >= 1, got n=3.0"),
     (lambda: T.search_trees("hk", True), "need an int n_max >= 2, got n_max=True"),
@@ -576,7 +576,7 @@ def _peeled():
         "frankl-bound-bool", "frankl-bound-float", "path-rsets-bool", "path-rsets-float",
         "max-size-bool", "max-size-float", "star-size-v-bool", "star-size-v-float",
         "star-vector-v-bool", "star-vector-v-float", "anchor-bool", "anchor-float",
-        "forbidden-bool", "forbidden-float", "prufer-n-bool", "prufer-n-float",
+        "forbidden-bool", "forbidden-float", "graph-edge-bool", "graph-edge-float",
         "free-trees-bool", "free-trees-float", "n-max-bool", "n-max-float",
         "n-min-bool", "n-min-float", "setwise-bool", "setwise-float"])
 def test_booleans_and_non_integers_are_not_sizes(call, message):
