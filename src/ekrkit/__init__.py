@@ -90,7 +90,6 @@ from .verify import (
     star_center,
 )
 from .treegen import (
-    FREE_TREE_COUNTS,
     SweepFinding,
     SweepSummary,
     free_trees,

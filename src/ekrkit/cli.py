@@ -70,10 +70,9 @@ def load_catalog(path: str) -> list[gr.Graph]:
 
 
 def _parse_vertex_set(arg: str, n: int) -> int:
-    """Comma-separated vertices as a mask.  A negative vertex becomes n, which
-    lies outside the graph too, so the range check still rejects it."""
-    vertices = [int(t) for t in arg.replace(",", " ").split()]
-    return gr.mask_of(v if v >= 0 else n for v in vertices)
+    """Comma-separated --forbid vertices of a graph on n vertices as a mask."""
+    return gr.mask_of(gr._int_arg("forbid", int(t), 0, n - 1)
+                      for t in arg.replace(",", " ").split())
 
 
 def _budget(args) -> Optional[vf.SearchBudget]:
@@ -99,7 +98,10 @@ def _emit_text(stream, payload, prefix=""):
                 stream.write(f"{prefix}{k}: {v}\n")
     elif isinstance(payload, list):
         for v in payload:
-            _emit_text(stream, v, prefix)
+            if isinstance(v, list):  # an inner list keeps to one line
+                stream.write(f"{prefix}{' '.join(map(str, v))}\n")
+            else:
+                _emit_text(stream, v, prefix)
     else:
         stream.write(f"{prefix}{payload}\n")
 
@@ -348,11 +350,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--threshold", type=int, required=True)
     sp.add_argument("--c", default=None, help="density used for the t-bound checks")
 
-    hk = add("search-hk", "leaf-star sweep over all labeled trees", _run_search, fmt=())
+    hk = add("search-hk", "leaf-star sweep over one free tree per class; reports the "
+             "labeled tree count", _run_search, fmt=())
     hk.add_argument("--n-max", type=int, required=True)
     hk.set_defaults(catalog=None, budget=None)  # hk checks run no search
-    ekr = add("search-ekr", "EKR sweep over all labeled trees or a catalog", _run_search,
-              budget=True, fmt=())
+    ekr = add("search-ekr", "EKR sweep over one free tree per class (reports the labeled "
+              "tree count) or over a catalog", _run_search, budget=True, fmt=())
     source = ekr.add_mutually_exclusive_group(required=True)
     source.add_argument("--n-max", type=int)
     source.add_argument("--catalog", help="file of graphs (generator strings or graph6 lines)")

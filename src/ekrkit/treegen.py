@@ -3,9 +3,8 @@
 Free trees, one per isomorphism class, are generated by leaf extension: every
 tree on n vertices is a tree on n - 1 vertices plus a leaf, so growing each
 class representative of size n - 1 at every vertex reaches every class of
-size n.  Duplicates are dropped by an integer rooted-at-centre key (the
-Aho-Hopcroft-Ullman encoding), stopping a size once every class (OEIS
-A000055) has appeared.
+size n.  Each grown tree is keyed once by an integer rooted-at-centre key
+(the Aho-Hopcroft-Ullman encoding), and the first tree of each key is kept.
 `search_catalog` checks a property on every graph of a catalog at every
 admissible set size and builds the canonical certificate only for findings;
 `search_trees` runs it on the free trees of each size.
@@ -17,10 +16,6 @@ from typing import Callable, Iterable, Optional
 
 from .graphs import Graph, GraphError, _int_arg, bit_list, emit_graph6, max_independent_set_size
 from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget, is_r_ekr, is_r_hk
-
-# number of free trees on n = 1..20 vertices (OEIS A000055)
-FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
-                    19320, 48629, 123867, 317955, 823065)
 
 
 def _class_key(n: int, edges, shapes: dict) -> tuple:
@@ -89,38 +84,26 @@ def tree_certificate(n: int, edges) -> str:
                _shape([text[c] for c in kids[b]] + [text[a]]))
 
 
-def _first_of_each_class(n: int, edge_lists):
-    """The first edge list of each isomorphism class among trees on n vertices.
-
-    Stops once all FREE_TREE_COUNTS[n-1] classes have appeared; the rest can
-    only repeat a class.  Sizes past the table are scanned to the end.
-    """
-    classes = FREE_TREE_COUNTS[n - 1] if n <= len(FREE_TREE_COUNTS) else None
-    seen, shapes = set(), {}
-    for edges in edge_lists:
-        key = _class_key(n, edges, shapes)
-        if key not in seen:
-            seen.add(key)
-            yield edges
-            if len(seen) == classes:
-                return
-
-
-_FREE_CACHE: dict[int, list[tuple]] = {1: [()]}
-
-
-def _free_tree_edge_lists(n: int) -> list[tuple]:
-    for m in range(max(_FREE_CACHE) + 1, n + 1):
-        grown = (edges + ((v, m - 1),) for edges in _FREE_CACHE[m - 1] for v in range(m - 1))
-        _FREE_CACHE[m] = sorted(_first_of_each_class(m, grown),
-                                key=lambda edges: tree_certificate(m, edges))
-    return _FREE_CACHE[n]
+_FREE_CACHE: dict[int, list[Graph]] = {1: [Graph(1, label="free-tree-1-0")]}
 
 
 def free_trees(n: int) -> list[Graph]:
-    """One representative per isomorphism class of trees on n vertices."""
-    return [Graph(n, edges, label=f"free-tree-{n}-{i}")
-            for i, edges in enumerate(_free_tree_edge_lists(_int_arg("n", n, 1)))]
+    """One representative per isomorphism class of trees on n vertices.
+
+    The classes are ordered by `tree_certificate`; the cached graphs are
+    immutable, and each call returns a new list of them.
+    """
+    for m in range(max(_FREE_CACHE) + 1, _int_arg("n", n, 1) + 1):
+        shapes, classes = {}, {}
+        for g in _FREE_CACHE[m - 1]:
+            edges = g.edges()
+            for v in range(m - 1):
+                grown = edges + [(v, m - 1)]
+                classes.setdefault(_class_key(m, grown, shapes), grown)
+        reps = sorted(classes.values(), key=lambda edges: tree_certificate(m, edges))
+        _FREE_CACHE[m] = [Graph(m, edges, label=f"free-tree-{m}-{i}")
+                          for i, edges in enumerate(reps)]
+    return list(_FREE_CACHE[n])
 
 
 # -- exhaustive sweeps ---------------------------------------------------

@@ -187,8 +187,6 @@ def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
     exceeded).
     """
     k = len(cands)
-    if k == 0:
-        return floor, None, 0, False
     full = (1 << k) - 1
     # candidate order: most intersections first (= fewest disjoint partners);
     # every candidate is nonempty, so it meets itself and k - meets others

@@ -141,6 +141,11 @@ def iter_labeled_trees(n: int):
         yield simple_prufer_decode(seq, n)
 
 
+# number of free trees on n = 1..20 vertices (OEIS A000055)
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741,
+                    19320, 48629, 123867, 317955, 823065)
+
+
 def iter_partitions(total: int, min_parts: int = 1, max_part=None):
     """Nonincreasing positive tuples summing to total with >= min_parts parts."""
     cap = total if max_part is None else max_part

@@ -40,6 +40,30 @@ def test_count_text_format_is_bare(capsys):
     assert code == 0 and out == "6\n"
 
 
+# --format text writes an inner list (witness set, peeled pair, condition) on one line
+TEXT_GOLDENS = [
+    ("ekr --graph kpartite:3,3 --r 2",
+     "graph: kpartite:3,3\nmax_intersecting_size: 3\nmax_star_size: 2\nmax_star_vertex: 0\n"
+     "nodes_explored: 3\nr: 2\nverdict: not_ekr\nwitness:\n  0 1\n  0 2\n  1 2\n"),
+    ("peel --graph star:9 --threshold 6",
+     "certificates_ok: True\ngraph: star:9\nkept:\n"
+     + "".join(f"  {v}\n" for v in range(1, 10))
+     + "n: 10\nremoved:\n  0 9\nresidual_graph6: H??????\nt: 1\nthreshold: 6\n"),
+    ("bounds --theorem T6 --n 200 --s 2 --r 5",
+     "admissible_r:\n" + "".join(f"  {r}\n" for r in range(5, 10))
+     + "hypothesis:\n  applicable: True\n  conditions:\n    0 < s < r/2 True\n"
+     "    r <= sqrt(n ln c) - ln(c)/2, c = 2 - 2s/r True\n  r: 5\n"
+     "  threshold_r: 5.947407873095769\nn: 200\nr_max: 9\ntheorem: T6\n"
+     "threshold: 5.947407873095769\n"),
+]
+
+
+@pytest.mark.parametrize("command,text", TEXT_GOLDENS, ids=[g[0] for g in TEXT_GOLDENS])
+def test_text_format_goldens(capsys, command, text):
+    code, out, err = run_main(capsys, *command.split(), "--format", "text")
+    assert (code, out, err) == (0, text, "")
+
+
 def test_ekr_example(capsys):
     code, payload = run_json(capsys, "ekr", "--graph", "spider:2,2,2", "--r", "2")
     assert code == 0
@@ -431,12 +455,22 @@ def test_file_errors_are_input_errors(capsys, tmp_path, argv):
     ["peel", "--graph", "star:9", "--threshold", "6", "--c", "1", "--r", "-1"],
     ["bounds", "--theorem", "T2-avg", "--n", "10", "--c", "1/0", "--r", "1"],
     ["bounds", "--theorem", "T8", "--n", "1000000000000"],  # more r than rmax lists
+    ["bounds", "--formula", "ekr", "--n", "10"],
+    ["bounds", "--formula", "claim-star", "--n", "10", "--r", "2"],
 ])
 def test_argument_errors_are_input_errors(capsys, monkeypatch, tmp_path, argv):
     (tmp_path / "catalog.txt").write_text("kpartite:3,3\n", encoding="ascii")
     monkeypatch.chdir(tmp_path)
     code, out, err = run_main(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("forbid,vertex", [("-1", "-1"), ("9", "9"), ("1,9", "9")])
+def test_forbid_errors_name_the_vertex(capsys, forbid, vertex):
+    code, out, err = run_main(capsys, "count", "--graph", "path:4", "--r", "2",
+                              "--forbid", forbid)
+    assert (code, out) == (1, "")
+    assert err == f"error: need an int 0 <= forbid <= 3, got forbid={vertex}\n"
 
 
 # every subcommand's options, with the choices of those that have them: a
@@ -472,7 +506,7 @@ def test_subcommand_options_are_pinned():
 # every public name of the package: adding or removing one changes this list
 PUBLIC_NAMES = [
     "Applicability", "BUDGET_EXCEEDED", "BoundQuery", "CountResult", "EKR", "EkrReport",
-    "FREE_TREE_COUNTS", "GeneratorError", "Graph", "Graph6Error",
+    "GeneratorError", "Graph", "Graph6Error",
     "GraphError", "GridRow", "HkReport", "IneqResult", "MAX_VERTICES", "NOT_EKR",
     "PathMerge", "PeelReport", "STRICTLY_EKR", "SearchBudget", "SpiderOrderReport",
     "SpiderSpec", "SweepFinding", "SweepSummary", "all_independent_sets",
@@ -611,6 +645,9 @@ GOLDENS = [
      "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7"),
     ("star --graph spider:2,2,2 --r 2", 0,
      "17b239aa2c504ea6d8b6ffc28aed43135bb6f35cc00440c8cd2023a57ca793fc"),
+    # not a forest: every star of the 5-cycle counted on its own, all of size 2
+    ("star --graph cycle:5 --r 2", 0,
+     "8fa53fdc8901f51aa3a016283ea2b6f2aab4ec4c1eba2a2bf309568cfb7a4712"),
     ("ekr --graph spider:2,2,2 --r 2", 0,
      "987d3a45ffe74ac986beb9e569a7367e3e5e786b7c0493fae43758511ca74751"),
     ("ekr --graph kpartite:3,3 --r 2", 0,

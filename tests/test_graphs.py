@@ -151,6 +151,8 @@ def test_graph6_header_accepted():
         ("~", "malformed-header"),
         ("~?", "malformed-header"),
         ("~??", "malformed-header"),
+        ("?", "malformed-header"),  # n = 0
+        ("~?A@", "too-large"),  # n = 129
     ],
 )
 def test_graph6_error_kinds(text, kind):
@@ -245,6 +247,10 @@ def test_generate_errors():
     for bad in ("cycle:2", "star:0", "kpartite:4", "tristar:-1", "nosuch:3", "path"):
         with pytest.raises(GraphError):
             generate(bad)
+    with pytest.raises(GraphError, match="bad integer parameters"):
+        generate("path:x")
+    with pytest.raises(GraphError, match="spider exceeds the vertex limit"):
+        generate("spider:50,50,50")
 
 
 @pytest.mark.parametrize("spec", ["kpartite:1000,1000", "cycle:1000000", "tristar:20000"])

@@ -307,6 +307,18 @@ def test_spider_order_check():
             V.is_r_hk(generate("spider:1,1,1"), r)
 
 
+def test_spider_order_check_reports_each_rule(monkeypatch):
+    # no small spider breaks a rule, so forced star sizes break each one once:
+    # the centre beats leaf v_3, vertex 3 on that leg beats it too, and leaf
+    # v_2 beats the earlier leaf v_1
+    monkeypatch.setattr(V, "_star_sizes", lambda t, r: (5, 7, 8, 9, 4))
+    d = V.spider_order_check(SpiderSpec((1, 1, 2)), 2).to_json_dict()
+    assert d["ok"] is False
+    assert d["violations"] == [["centre<=leaf", "s(0)=5 > s(v_3)=4"],
+                               ["path<=leaf", "s(3)=9 > s(v_3)=4"],
+                               ["later<=earlier", "s(v_2)=8 > s(v_1)=7"]]
+
+
 # -- orbital branching ------------------------------------------------------
 
 SEARCHES = (V.is_r_ekr, V.is_strictly_r_ekr, V.max_nonstar_intersecting)
