@@ -230,12 +230,13 @@ def star_vectors_tree_dp(g: Graph) -> list[list[int]]:
     return [_unpack(poly, g.n) for poly in _star_polys(g)]
 
 
-def _star_column(g: Graph, r: int) -> list[int]:
-    """s_r(v) for every vertex v of the forest g, for an int r >= 0 (all 0 when
-    r > n): column r of star_vectors_tree_dp(g), shifting out only coefficient r."""
-    w = g.n + 1
+def _star_column(polys: list[int], n: int, r: int) -> list[int]:
+    """s_r(v) for every vertex v of an n-vertex forest whose `_star_polys` are
+    `polys`, for an int r >= 0 (all 0 when r > n): column r of
+    star_vectors_tree_dp, shifting out only coefficient r."""
+    w = n + 1
     mask = (1 << w) - 1
-    return [poly >> (w * r) & mask for poly in _star_polys(g)]
+    return [poly >> (w * r) & mask for poly in polys]
 
 
 def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int = 0,

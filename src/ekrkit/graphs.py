@@ -64,7 +64,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def bit_list(mask: int) -> list[int]:
-    return list(iter_bits(mask))
+    # the loop of iter_bits written out: list(iter_bits(mask)) is slower
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def find_root(parent: list[int], x: int) -> int:

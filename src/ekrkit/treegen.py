@@ -7,15 +7,21 @@ size n.  Each grown tree is keyed once by an integer rooted-at-centre key
 (the Aho-Hopcroft-Ullman encoding), and the first tree of each key is kept.
 `search_catalog` checks a property on every graph of a catalog at every
 admissible set size and builds the canonical certificate only for findings;
-`search_trees` runs it on the free trees of each size.
+`search_trees` runs it on the free trees of each size.  Each graph is
+prepared once for all its set sizes, and the preparation is dropped with
+the graph's last check: the `ekr` searches share one set of Aut(G)
+generators, and the `hk` checks read every size's star sizes off one
+rerooting DP.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
+from . import verify
+from .families import _star_column, _star_polys
 from .graphs import Graph, GraphError, _int_arg, bit_list, emit_graph6, max_independent_set_size
-from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget, is_r_ekr, is_r_hk
+from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget
 
 
 def _class_key(n: int, edges, shapes: dict) -> tuple:
@@ -154,28 +160,44 @@ class SweepSummary:
         }
 
 
-def _check_hk(g: Graph, r: int, budget: Optional[SearchBudget]):
-    rep = is_r_hk(g, r)
-    if rep.holds:
-        return "holds", None
-    return "leaf_not_max", (("best_vertex", rep.best_vertex),
-                            ("star_sizes", list(rep.star_sizes)))
+def _hk_checks(t: Graph, budget: Optional[SearchBudget]):
+    """The hk check of the tree t at each r, read off one rerooting DP: the
+    report of `verify.is_r_hk(t, r)`."""
+    if not t.is_tree():
+        raise GraphError(verify._NEED_TREE)
+    polys = _star_polys(t)
+
+    def check(r: int):
+        rep = verify._hk_report(t, r, tuple(_star_column(polys, t.n, r)))
+        if rep.holds:
+            return "holds", None
+        return "leaf_not_max", (("best_vertex", rep.best_vertex),
+                                ("star_sizes", list(rep.star_sizes)))
+    return check
 
 
-def _check_ekr(g: Graph, r: int, budget: Optional[SearchBudget]):
-    rep = is_r_ekr(g, r, budget)
-    if rep.verdict == NOT_EKR:
-        return NOT_EKR, (("max_star_size", rep.max_star_size),
-                         ("max_intersecting_size", rep.max_intersecting_size),
-                         ("witness", [bit_list(m) for m in rep.witness]))
-    if rep.verdict == BUDGET_EXCEEDED:
-        return BUDGET_EXCEEDED, (("nodes_explored", rep.nodes_explored),)
-    return rep.verdict, None
+def _ekr_checks(g: Graph, budget: Optional[SearchBudget]):
+    """The ekr check of g at each r, all searching under one set of Aut(g)
+    generators: the report of `verify.is_r_ekr(g, r, budget)`."""
+    gens = verify.automorphism_generators(g)
+
+    def check(r: int):
+        rep = verify._report(g, r, verify._candidates(g, r), gens, 0, budget)
+        if rep.verdict == NOT_EKR:
+            return NOT_EKR, (("max_star_size", rep.max_star_size),
+                             ("max_intersecting_size", rep.max_intersecting_size),
+                             ("witness", [bit_list(m) for m in rep.witness]))
+        if rep.verdict == BUDGET_EXCEEDED:
+            return BUDGET_EXCEEDED, (("nodes_explored", rep.nodes_explored),)
+        return rep.verdict, None
+    return check
 
 
-# property -> check(g, r, budget) giving (verdict, detail); detail is None
-# unless the verdict is a finding
-_CHECKS = {PROP_HK: _check_hk, PROP_EKR: _check_ekr}
+# property -> prepare(g, budget), called once per graph before its first
+# check, giving check(r) -> (verdict, detail); detail is None unless the
+# verdict is a finding.  What a preparation holds lives only as long as the
+# check of its graph.
+_CHECKS = {PROP_HK: _hk_checks, PROP_EKR: _ekr_checks}
 
 
 def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = None,
@@ -183,11 +205,15 @@ def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = No
                    on_finding: Optional[Callable] = None) -> SweepSummary:
     """Check prop on every graph of the catalog at every r up to min(r_max, alpha).
 
-    Each graph counts once as seen and once as unique; the certificate (the
-    tree certificate for trees, graph6 otherwise) is built only for findings.
+    Each graph is prepared once for all its checks: for "ekr" the generators
+    of Aut(G), which every r's search branches on, and for "hk" the star
+    polynomials of one rerooting DP, whose coefficient r gives the star sizes
+    at r.  Each graph counts once as seen and once as unique; the certificate
+    (the tree certificate for trees, graph6 otherwise) is built only for
+    findings.
     """
-    check = _CHECKS.get(prop)
-    if check is None:
+    prepare = _CHECKS.get(prop)
+    if prepare is None:
         raise GraphError(f"unknown sweep property {prop!r}")
     if r_max is not None:
         _int_arg("r_max", r_max, 1)
@@ -198,9 +224,10 @@ def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = No
         n_max = max(n_max, g.n)
         alpha = max_independent_set_size(g)
         r_hi = alpha if r_max is None else min(r_max, alpha)
+        check = prepare(g, budget)
         for r in range(1, r_hi + 1):
             checks += 1
-            verdict, detail = check(g, r, budget)
+            verdict, detail = check(r)
             if verdict == BUDGET_EXCEEDED:
                 blown += 1
             if detail is not None:

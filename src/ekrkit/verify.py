@@ -27,14 +27,16 @@ The include child of a root pick S (the families containing S, minus the
 orbits already excluded) is invariant under Stab(S), the automorphisms that
 map S onto itself, so that child's own exclude chain drops Stab(S)-orbits in
 the same way.  Aut(G) comes from `graphs.automorphism_generators` once per
-search; Stab(S) comes from the same routine with `setwise=S`, and only when
-the child reaches its first branching step, so a child that is pruned first
-costs no stabiliser.  On a tree that routine reads both groups off rooted
-(Aho-Hopcroft-Ullman) codes instead of running its refinement search.  A
-chain never lists every orbit: each exclude step closes only its pick under
-the chain's generators, which gives the same orbit whatever generators span
-the group.  Each pick itself stays the representative,
-so the first subtree, where the witness is usually found, is unchanged.
+report, or once per graph for all the reports of a catalog sweep
+(`treegen.search_catalog`); Stab(S) comes from the same routine with
+`setwise=S`, once per search and only when the child reaches its first
+branching step, so a child that is pruned first costs no stabiliser.  On a
+tree that routine reads both groups off rooted (Aho-Hopcroft-Ullman) codes
+instead of running its refinement search.  A chain never lists every orbit:
+each exclude step closes only its pick under the chain's generators, which
+gives the same orbit whatever generators span the group.  Each pick itself
+stays the representative, so the first subtree, where the witness is
+usually found, is unchanged.
 Deeper nodes branch on single sets: their subproblems are invariant only
 under the stabiliser of all the sets picked so far, which would have to be
 computed anew for every subtree.  `nodes_explored` counts the nodes of this
@@ -52,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .families import _star_column, all_independent_sets, enum_independent_rsets
+from .families import _star_column, _star_polys, all_independent_sets, enum_independent_rsets
 from .graphs import (Graph, GraphError, SpiderSpec, _int_arg, automorphism_generators,
                      bit_list, iter_bits)
 
@@ -175,32 +177,49 @@ def _moving(gens: list[tuple]) -> list[tuple]:
 
 
 def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
-                         floor: int, g: Graph):
+                         floor: int, g: Graph, gens: list[tuple]):
     """Largest pairwise-intersecting subfamily with empty total intersection
-    and size > floor; `meets` is `_containment(cands, g.n)`.
+    and size > floor; `cands` ascend and `meets` is `_containment(cands, g.n)`.
 
-    The root branches on orbits of candidates under Aut(g), which must map
-    the candidate family onto itself, and the include child of each root
-    pick on orbits under the pick's setwise stabiliser.  Returns (best_size,
-    best_index_mask_or_None, nodes, exceeded).  Smaller families are pruned,
-    so a None witness proves nothing above the floor exists (when not
-    exceeded).
+    The root branches on orbits of candidates under the group that `gens`
+    (generators of Aut(g)) spans, which must map the candidate family onto
+    itself, and the include child of each root pick on orbits under the
+    pick's setwise stabiliser.  Returns (best_size, best_index_mask_or_None,
+    nodes, exceeded).  Smaller families are pruned, so a None witness proves
+    nothing above the floor exists (when not exceeded).
     """
     k = len(cands)
     full = (1 << k) - 1
-    # candidate order: most intersections first (= fewest disjoint partners);
-    # every candidate is nonempty, so it meets itself and k - meets others
-    order = sorted(range(k), key=lambda i: (k - _meeting(meets, cands[i]).bit_count(),
-                                            cands[i]))
+    # candidate order: most intersections first (= fewest disjoint partners),
+    # ties ascending, as the stable sort keeps the ascending `cands`; every
+    # candidate is nonempty, so it meets itself and has k - meets partners.
+    # The loops below are `_meeting` and `_containment` written out over each
+    # candidate's vertex list, found once for both orders.
+    verts = [bit_list(s) for s in cands]
+    partners = []
+    for vs in verts:
+        m = 0
+        for v in vs:
+            m |= meets[v]
+        partners.append(k - m.bit_count())
+    order = sorted(range(k), key=partners.__getitem__)
     sets = [cands[i] for i in order]
-    contains = _containment(sets, g.n)
-    dnb = [full & ~_meeting(contains, s) for s in sets]
+    contains = [0] * g.n
+    for j, i in enumerate(order):
+        bit = 1 << j
+        for v in verts[i]:
+            contains[v] |= bit
+    dnb = []
+    for i in order:
+        m = 0
+        for v in verts[i]:
+            m |= contains[v]
+        dnb.append(full & ~m)
 
     best = floor
     best_sel = None
     nodes = 0
     exceeded = False
-    gens = automorphism_generators(g)
     # generators of each exclude chain that branches on orbits, by chain: -1
     # is the root's, i >= 0 the one below root pick i, filled in when that
     # chain first branches; each exclude step drops the orbit of its pick
@@ -343,9 +362,10 @@ def _candidates(g: Graph, r: Optional[int]) -> list[int]:
     return cands
 
 
-def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: Optional[int],
-            budget: Optional[SearchBudget]) -> EkrReport:
-    """The one report builder: a search for an empty-common family above a floor.
+def _report(g: Graph, r: Optional[int], cands: list[int], gens: list[tuple],
+            floor_offset: Optional[int], budget: Optional[SearchBudget]) -> EkrReport:
+    """The one report builder: a search for an empty-common family above a floor,
+    branching on orbits under the automorphisms of g that `gens` generate.
 
     floor_offset 0 or 1 puts the floor at (best star - offset), so a family
     that ties the star counts only for the strict question; the answer is the
@@ -371,7 +391,7 @@ def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: Optional
     else:
         floor = ss - floor_offset
     found, witness, nodes, exceeded = _search_empty_common(cands, meets, budget.max_nodes,
-                                                           floor, g)
+                                                           floor, g, gens)
     if floor_offset is None and witness is None:  # stopped at the floor, or no family
         found = seed
         witness = tuple(sorted(cands[i] for i in iter_bits(seed_sel)))
@@ -392,7 +412,7 @@ def _report(g: Graph, r: Optional[int], cands: list[int], floor_offset: Optional
 def is_r_ekr(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
     """Exact maximum intersecting family of independent r-sets, with witness;
     verdict ekr iff some star attains it."""
-    return _report(g, r, _candidates(g, r), 0, budget)
+    return _report(g, r, _candidates(g, r), automorphism_generators(g), 0, budget)
 
 
 def is_strictly_r_ekr(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
@@ -401,17 +421,18 @@ def is_strictly_r_ekr(g: Graph, r: int, budget: Optional[SearchBudget] = None) -
     A maximum family with a common vertex x must equal the full star at x,
     so strictness is exactly: no maximum-size family has empty intersection.
     """
-    return _report(g, r, _candidates(g, r), 1, budget)
+    return _report(g, r, _candidates(g, r), automorphism_generators(g), 1, budget)
 
 
 def max_nonstar_intersecting(g: Graph, r: int, budget: Optional[SearchBudget] = None) -> EkrReport:
     """Exact maximum over intersecting families with empty total intersection."""
-    return _report(g, r, _candidates(g, r), None, budget)
+    return _report(g, r, _candidates(g, r), automorphism_generators(g), None, budget)
 
 
 def nonuniform_ekr(g: Graph, budget: Optional[SearchBudget] = None) -> EkrReport:
     """EKR verdict over ALL nonempty independent sets, any sizes mixed."""
-    return _report(g, None, _candidates(g, None), 0, budget)
+    return _report(g, None, _candidates(g, None), automorphism_generators(g), 0,
+                   budget)
 
 
 # -- star-placement verdicts ---------------------------------------------
@@ -437,7 +458,8 @@ class HkReport:
 def _star_sizes(t: Graph, r: int) -> tuple:
     """s_r(v) for every vertex of the forest t; GraphError unless r >= 1 and some
     independent r-set exists."""
-    sizes = tuple(_star_column(t, _int_arg("r", r, 1)))
+    r = _int_arg("r", r, 1)
+    sizes = tuple(_star_column(_star_polys(t), t.n, r))
     if not max(sizes):
         raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
     return sizes
@@ -456,8 +478,14 @@ def is_r_hk(t: Graph, r: int) -> HkReport:
         if not t.is_tree():
             raise GraphError(_NEED_TREE) from None
         raise
+    return _hk_report(t, r, sizes)
+
+
+def _hk_report(t: Graph, r: int, sizes: tuple) -> HkReport:
+    """The report on the tree t whose star sizes at r are `sizes`: the best
+    vertex is the first leaf of maximum size, else the first vertex of it."""
     top = max(sizes)
-    leaves = [v for v in range(t.n) if t.degree(v) <= 1]
+    leaves = [v for v, d in enumerate(t.degrees()) if d <= 1]
     holds = any(sizes[v] == top for v in leaves)
     if holds:
         best = next(v for v in leaves if sizes[v] == top)

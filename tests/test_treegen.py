@@ -7,7 +7,9 @@ import networkx as nx
 import pytest
 
 import ekrkit.treegen as T
-from ekrkit.graphs import Graph, GraphError, generate, max_independent_set_size
+import ekrkit.verify as V
+from ekrkit.graphs import (Graph, GraphError, emit_graph6, generate, max_independent_set_size,
+                           parse_graph6)
 from ekrkit.verify import SearchBudget
 
 import helpers as H
@@ -295,6 +297,61 @@ def test_search_catalog_budget_exhaustion_is_counted():
     assert any(f.verdict == "budget_exceeded" for f in summary.findings)
     blown = next(f for f in summary.findings if f.verdict == "budget_exceeded")
     assert dict(blown.detail)["nodes_explored"] >= 1
+
+
+def _ekr_catalog_cases():
+    trees = [t for n in range(2, 10) for t in T.free_trees(n)]
+    atlas6 = [Graph(6, list(a.edges())) for a in nx.graph_atlas_g() if a.number_of_nodes() == 6]
+    return [(trees, 3, None), (atlas6, None, None), (trees + atlas6, 3, SearchBudget(5))]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_ekr_catalog_reports_equal_is_r_ekr(case, monkeypatch):
+    # one Aut(G) per graph for every r: each report the catalog builds, budget
+    # stops and the refinement search's generators included, must be the one
+    # is_r_ekr builds alone, nodes_explored included
+    graphs, r_max, budget = _ekr_catalog_cases()[case]
+    report, built = V._report, []
+
+    def spy(g, r, *args):
+        rep = report(g, r, *args)
+        built.append((g, r, rep))
+        return rep
+
+    monkeypatch.setattr(V, "_report", spy)
+    summary = T.search_catalog(T.PROP_EKR, graphs, r_max, budget)
+    monkeypatch.undo()
+    want = [(g, r) for g in graphs
+            for r in range(1, min(r_max or g.n, max_independent_set_size(g)) + 1)]
+    assert [(g, r) for g, r, _ in built] == want and summary.checks == len(want)
+    for g, r, rep in built:
+        assert rep == V.is_r_ekr(g, r, budget), (g.edges(), r)
+    assert (summary.budget_exceeded > 0) == (budget is not None)
+
+
+def test_hk_catalog_findings_equal_is_r_hk():
+    # one rerooting DP per tree for every r: each finding must carry what
+    # is_r_hk reports alone, and no (tree, r) where is_r_hk holds is a finding;
+    # the one tree with n = 13 that has a finding makes the comparison nonvacuous
+    trees = [t for n in range(2, 13) for t in T.free_trees(n)] + [parse_graph6("LqGPA?@O??`??_")]
+    summary = T.search_catalog(T.PROP_HK, trees)
+    want = []
+    for t in trees:
+        for r in range(1, max_independent_set_size(t) + 1):
+            rep = V.is_r_hk(t, r)
+            if not rep.holds:
+                want.append((emit_graph6(t), r, "leaf_not_max", rep.best_vertex,
+                             list(rep.star_sizes)))
+    got = [(f.graph6, f.r, f.verdict, dict(f.detail)["best_vertex"],
+            dict(f.detail)["star_sizes"]) for f in summary.findings]
+    assert got == want and len(want) == 1
+    assert summary.checks == sum(max_independent_set_size(t) for t in trees)
+    # a cycle, and a triangle plus a vertex (n - 1 edges but no tree), fail as in is_r_hk
+    for g in (generate("cycle:5"), Graph(4, [(0, 1), (1, 2), (0, 2)])):
+        with pytest.raises(GraphError, match="leaf-maximum verdicts need a tree"):
+            V.is_r_hk(g, 1)
+        with pytest.raises(GraphError, match="leaf-maximum verdicts need a tree"):
+            T.search_catalog(T.PROP_HK, [g])
 
 
 def test_sweep_summary_json_schema():
