@@ -239,6 +239,12 @@ def _star_column(polys: list[int], n: int, r: int) -> list[int]:
     return [poly >> (w * r) & mask for poly in polys]
 
 
+def _star_alpha(polys: list[int], n: int) -> int:
+    """alpha of the n-vertex forest whose `_star_polys` are `polys`: the
+    highest power of any star polynomial."""
+    return (max(polys).bit_length() - 1) // (n + 1)
+
+
 def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int = 0,
                 method: str = "auto") -> CountResult:
     """Exact count of the independent r-sets of g that contain `anchor` (if

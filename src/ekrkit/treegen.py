@@ -10,8 +10,8 @@ admissible set size and builds the canonical certificate only for findings;
 `search_trees` runs it on the free trees of each size.  Each graph is
 prepared once for all its set sizes, and the preparation is dropped with
 the graph's last check: the `ekr` searches share one set of Aut(G)
-generators, and the `hk` checks read every size's star sizes off one
-rerooting DP.
+generators, and the `hk` checks read every size's star sizes, and alpha,
+off one rerooting DP.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from . import verify
-from .families import _star_column, _star_polys
+from .families import _star_alpha, _star_column, _star_polys
 from .graphs import Graph, GraphError, _int_arg, bit_list, emit_graph6, max_independent_set_size
 from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget
 
@@ -161,8 +161,8 @@ class SweepSummary:
 
 
 def _hk_checks(t: Graph, budget: Optional[SearchBudget]):
-    """The hk check of the tree t at each r, read off one rerooting DP: the
-    report of `verify.is_r_hk(t, r)`."""
+    """alpha(t) and the hk check of the tree t at each r, both read off one
+    rerooting DP: the check gives the report of `verify.is_r_hk(t, r)`."""
     if not t.is_tree():
         raise GraphError(verify._NEED_TREE)
     polys = _star_polys(t)
@@ -173,12 +173,12 @@ def _hk_checks(t: Graph, budget: Optional[SearchBudget]):
             return "holds", None
         return "leaf_not_max", (("best_vertex", rep.best_vertex),
                                 ("star_sizes", list(rep.star_sizes)))
-    return check
+    return _star_alpha(polys, t.n), check
 
 
 def _ekr_checks(g: Graph, budget: Optional[SearchBudget]):
-    """The ekr check of g at each r, all searching under one set of Aut(g)
-    generators: the report of `verify.is_r_ekr(g, r, budget)`."""
+    """alpha(g) and the ekr check of g at each r, all searching under one set
+    of Aut(g) generators: the report of `verify.is_r_ekr(g, r, budget)`."""
     gens = verify.automorphism_generators(g)
 
     def check(r: int):
@@ -190,13 +190,13 @@ def _ekr_checks(g: Graph, budget: Optional[SearchBudget]):
         if rep.verdict == BUDGET_EXCEEDED:
             return BUDGET_EXCEEDED, (("nodes_explored", rep.nodes_explored),)
         return rep.verdict, None
-    return check
+    return max_independent_set_size(g), check
 
 
 # property -> prepare(g, budget), called once per graph before its first
-# check, giving check(r) -> (verdict, detail); detail is None unless the
-# verdict is a finding.  What a preparation holds lives only as long as the
-# check of its graph.
+# check, giving (alpha(g), check) with check(r) -> (verdict, detail); detail
+# is None unless the verdict is a finding.  What a preparation holds lives
+# only as long as the check of its graph.
 _CHECKS = {PROP_HK: _hk_checks, PROP_EKR: _ekr_checks}
 
 
@@ -208,9 +208,9 @@ def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = No
     Each graph is prepared once for all its checks: for "ekr" the generators
     of Aut(G), which every r's search branches on, and for "hk" the star
     polynomials of one rerooting DP, whose coefficient r gives the star sizes
-    at r.  Each graph counts once as seen and once as unique; the certificate
-    (the tree certificate for trees, graph6 otherwise) is built only for
-    findings.
+    at r and whose highest power gives alpha.  Each graph counts once as seen
+    and once as unique; the certificate (the tree certificate for trees,
+    graph6 otherwise) is built only for findings.
     """
     prepare = _CHECKS.get(prop)
     if prepare is None:
@@ -222,9 +222,8 @@ def search_catalog(prop: str, graphs: Iterable[Graph], r_max: Optional[int] = No
     for g in graphs:
         seen += 1
         n_max = max(n_max, g.n)
-        alpha = max_independent_set_size(g)
+        alpha, check = prepare(g, budget)
         r_hi = alpha if r_max is None else min(r_max, alpha)
-        check = prepare(g, budget)
         for r in range(1, r_hi + 1):
             checks += 1
             verdict, detail = check(r)

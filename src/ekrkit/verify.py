@@ -14,6 +14,19 @@ climbs to its optimum only near its end; with it, the nodes whose bound
 cannot beat the family are pruned from the first, and the same first maximum
 family is found in the same order.
 
+A uniform search at r <= 2 is first tested at its root against a covering
+bound (`_root_covered`): an intersecting family of r-sets with empty total
+intersection has at most r^2 M members, M the largest number of candidates
+that contain one pair of vertices, and M <= r - 1 there.  When that is at
+most the floor, the search and all of its set-up are skipped, and the report
+counts one node, as for a root that the matching bound prunes.  The nonstar
+search's floor sits one below a real nonstar family, which the bound cannot
+undercut, so there it fires only where no such family exists, as at r = 1.
+At r >= 3, M needs a scan over the vertex pairs, and the bound can fall to
+the best star only when r^2 (r - 1) <= n - 1 (at the best star's vertex x,
+the pair counts over the n - 1 other vertices sum to (r - 1) s(x)), so from
+n = 19 on at r = 3; the search does not test it there.
+
 The top two levels of that search use orbital branching (Ostrowski,
 Linderoth, Rossi, Smriglio, "Orbital branching", Math. Program. 126, 2011).
 An automorphism of the graph maps independent r-sets to independent r-sets
@@ -352,6 +365,20 @@ def _hilton_milner(cands: list[int], meets: list[int]) -> tuple[int, int]:
     return best, best_sel
 
 
+def _root_covered(r: Optional[int], floor: int) -> bool:
+    """Whether no intersecting family of r-sets with empty total intersection
+    is larger than floor, by the covering bound r^2 M.
+
+    Take such a family F and a member A.  Every member meets A, so F is the
+    union over x in A of F_x, its members containing x.  Some member C avoids
+    x, and every member of F_x meets C in some y != x, so |F_x| <= r M and
+    |F| <= r^2 M, M the largest number of members that contain one pair of
+    vertices.  No 1-set contains a pair, and only the 2-set {x, y} contains
+    {x, y}, so M <= r - 1 for r <= 2.
+    """
+    return r is not None and r <= 2 and r * r * (r - 1) <= floor
+
+
 def _candidates(g: Graph, r: Optional[int]) -> list[int]:
     """The independent r-sets of g; every nonempty independent set if r is None."""
     if r is None:
@@ -390,8 +417,11 @@ def _report(g: Graph, r: Optional[int], cands: list[int], gens: list[tuple],
         floor = max(0, seed - 1)
     else:
         floor = ss - floor_offset
-    found, witness, nodes, exceeded = _search_empty_common(cands, meets, budget.max_nodes,
-                                                           floor, g, gens)
+    if _root_covered(r, floor):  # pruned at the root, as by the matching bound
+        found, witness, nodes, exceeded = floor, None, 1, False
+    else:
+        found, witness, nodes, exceeded = _search_empty_common(cands, meets, budget.max_nodes,
+                                                               floor, g, gens)
     if floor_offset is None and witness is None:  # stopped at the floor, or no family
         found = seed
         witness = tuple(sorted(cands[i] for i in iter_bits(seed_sel)))

@@ -649,7 +649,7 @@ GOLDENS = [
     ("star --graph cycle:5 --r 2", 0,
      "8fa53fdc8901f51aa3a016283ea2b6f2aab4ec4c1eba2a2bf309568cfb7a4712"),
     ("ekr --graph spider:2,2,2 --r 2", 0,
-     "987d3a45ffe74ac986beb9e569a7367e3e5e786b7c0493fae43758511ca74751"),
+     "0bb911709d316c1ccd198a984164e25922a4170004bc2990fb78ed34c720435a"),
     ("ekr --graph kpartite:3,3 --r 2", 0,
      "ee0c10ad78d5085fd1cb964e993cee9f62c0278ce4e5efe764b9cc7e11a3f7b9"),
     ("strict-ekr --graph empty:7 --r 3", 0,

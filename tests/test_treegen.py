@@ -206,12 +206,13 @@ def reference_trees():
 
 def test_search_trees_checks_the_reference_representatives(monkeypatch):
     checked = []
+    prepare = T._CHECKS[T.PROP_HK]
 
-    def alpha(g):
+    def spy(g, budget):
         checked.append((g.label, g.edges()))
-        return max_independent_set_size(g)
+        return prepare(g, budget)
 
-    monkeypatch.setattr(T, "max_independent_set_size", alpha)
+    monkeypatch.setitem(T._CHECKS, T.PROP_HK, spy)
     T.search_trees(T.PROP_HK, 8, r_max=1)
     assert checked == [(g.label, g.edges()) for n in range(2, 9) for g in T.free_trees(n)]
 

@@ -425,12 +425,12 @@ def test_search_outputs_are_pinned(tree_pin_reports):
     # nodes_explored included, so a change to the symmetry set-up cannot show
     # only as changed node counts
     assert H.report_digest(tree_pin_reports) == (
-        "f344300da7a48b750ea7240342ac6db59214d7fb05241696cdc703bdf58a2b7c")
+        "3d21b34349ee37dfdbc52fc68789fe86e114769a18e863b7ee4e71685de6c7ca")
 
 
 def test_non_tree_search_outputs_are_pinned(non_tree_pin_reports):
     assert H.report_digest(non_tree_pin_reports) == (
-        "d2d5f80cdc85af0bc9ca8789f9ab59c03b03f1730b00f9550c4c9a5291c4c255")
+        "dee1d862c857ef4ad07ad3e17d510c7504fade7a4e6f9e5ce27d9ad66780b61e")
 
 
 def test_search_answers_are_pinned(tree_pin_reports, non_tree_pin_reports):
@@ -457,7 +457,7 @@ def test_budget_stopped_search_outputs_are_pinned():
     assert len(cases) == 448 + 33
     budgets = (None, V.SearchBudget(3), V.SearchBudget(17))
     assert H.report_digest(fn(g, r, b) for g, r in cases for b in budgets for fn in SEARCHES) == (
-        "7fa4e9492985d9f24f1f51f4ca1517146c35d7f510590ec5f95d067d05622402")
+        "09f894ce9081fd9caf67d1e242dc95cf8351354d41b06b9d3996174f505c3714")
 
 
 # -- the Hilton-Milner-type floor of the nonstar search ------------------------
@@ -499,6 +499,49 @@ def test_hilton_milner_floor_changes_only_node_counts(monkeypatch):
         assert a.to_json_dict() | {"nodes_explored": 0} == b.to_json_dict() | {"nodes_explored": 0}
         assert a.nodes_explored <= b.nodes_explored, (g.edges(), r)
     assert sum(a.nodes_explored for a in seeded) < sum(b.nodes_explored for b in plain)
+
+
+# -- the covering bound at the root of a uniform search -------------------------
+
+def _atlas():
+    return [Graph(a.number_of_nodes(), list(a.edges()))
+            for a in nx.graph_atlas_g() if a.number_of_nodes()]
+
+
+def test_covering_bound_bounds_every_nonstar_family():
+    # the root test never puts the floor below a real nonstar family; it
+    # fires only at r <= 2
+    brute = 0
+    for g in _atlas():
+        for r in range(1, min(2, max_independent_set_size(g)) + 1):
+            size = V.max_nonstar_intersecting(g, r).max_intersecting_size
+            assert not V._root_covered(r, size - 1), (g.edges(), r)
+            cands = enum_independent_rsets(g, r)
+            if len(cands) <= 20:
+                brute += 1
+                size = H.brute_max_intersecting(cands, empty_common_only=True)[0]
+                assert not V._root_covered(r, size - 1), (g.edges(), r)
+    assert brute == 2496
+
+
+def test_covering_bound_changes_only_node_counts(monkeypatch):
+    # the three searches with the root covering bound against the same
+    # searches with a bound that never prunes, on every nonempty atlas graph,
+    # 60 seeded random graphs (n 6-12) and every free tree with 2 <= n <= 10
+    rng = random.Random(24)
+    graphs = _atlas()
+    for _ in range(60):
+        n = rng.randint(6, 12)
+        graphs.append(Graph(n, H.random_graph_edges(rng, n, rng.randint(n // 2, 2 * n))))
+    graphs += [t for n in range(2, 11) for t in free_trees(n)]
+    cases = [(g, r) for g in graphs for r in range(1, min(3, max_independent_set_size(g)) + 1)]
+    bounded = [fn(g, r) for g, r in cases for fn in SEARCHES]
+    monkeypatch.setattr(V, "_root_covered", lambda r, floor: False)
+    plain = [fn(g, r) for g, r in cases for fn in SEARCHES]
+    for a, b in zip(bounded, plain):
+        assert a.to_json_dict() | {"nodes_explored": 0} == b.to_json_dict() | {"nodes_explored": 0}
+        assert a.nodes_explored <= b.nodes_explored, (a, b)
+    assert sum(a.nodes_explored for a in bounded) < sum(b.nodes_explored for b in plain)
 
 
 _P5 = generate("path:5")
