@@ -405,6 +405,13 @@ def _parse_int_args(arg: str, spec: str) -> list[int]:
         raise GeneratorError(f"bad integer parameters in generator {spec!r}")
 
 
+def _parse_one_int(arg: str, spec: str) -> int:
+    params = _parse_int_args(arg, spec)
+    if len(params) != 1:
+        raise GeneratorError(f"generator {spec!r} takes one integer parameter")
+    return params[0]
+
+
 GENERATOR_KINDS = ("empty", "path", "cycle", "star", "spider", "kpartite", "tristar")
 
 
@@ -419,18 +426,18 @@ def generate(spec: str) -> Graph:
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "empty":
-        (n,) = _parse_int_args(arg, spec)
+        n = _parse_one_int(arg, spec)
         return Graph(n, (), label=spec)
     if kind == "path":
-        (n,) = _parse_int_args(arg, spec)
+        n = _parse_one_int(arg, spec)
         return Graph(n, zip(range(n - 1), range(1, n)), label=spec)
     if kind == "cycle":
-        (n,) = _parse_int_args(arg, spec)
+        n = _parse_one_int(arg, spec)
         if n < 3:
             raise GeneratorError(f"cycle needs n >= 3, got {n}")
         return Graph(n, chain(zip(range(n - 1), range(1, n)), [(n - 1, 0)]), label=spec)
     if kind == "star":
-        (k,) = _parse_int_args(arg, spec)
+        k = _parse_one_int(arg, spec)
         if k < 1:
             raise GeneratorError(f"star needs k >= 1 leaves, got {k}")
         return Graph(k + 1, ((0, i) for i in range(1, k + 1)), label=spec)
@@ -447,7 +454,7 @@ def generate(spec: str) -> Graph:
                  for v in range(starts[b], starts[b + 1]))
         return Graph(starts[-1], edges, label=spec)
     if kind == "tristar":
-        (h,) = _parse_int_args(arg, spec)
+        h = _parse_one_int(arg, spec)
         if h < 0:
             raise GeneratorError(f"tristar depth must be >= 0, got {h}")
         # 1 + 3(2^(h+1) - 1) vertices; capping h keeps 2^(h+1) small, and any

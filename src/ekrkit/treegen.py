@@ -3,8 +3,9 @@
 Free trees, one per isomorphism class, are generated by leaf extension: every
 tree on n vertices is a tree on n - 1 vertices plus a leaf, so growing each
 class representative of size n - 1 at every vertex reaches every class of
-size n.  Each grown tree is keyed once by an integer rooted-at-centre key
-(the Aho-Hopcroft-Ullman encoding), and the first tree of each key is kept.
+size n.  Each grown tree gets one canonical certificate, its shape string
+rooted at the centre (the Aho-Hopcroft-Ullman encoding), and the first tree
+of each certificate is kept.
 `search_catalog` checks a property on every graph of a catalog at every
 admissible set size and builds the canonical certificate only for findings;
 `search_trees` runs it on the free trees of each size.  Each graph is
@@ -24,14 +25,18 @@ from .graphs import Graph, GraphError, _int_arg, bit_list, emit_graph6, max_inde
 from .verify import BUDGET_EXCEEDED, NOT_EKR, SearchBudget
 
 
-def _class_key(n: int, edges, shapes: dict) -> tuple:
-    """Integer key of a tree's isomorphism class (Aho-Hopcroft-Ullman).
+def _shape(kids: list[str]) -> str:
+    return "(" + "".join(sorted(kids)) + ")"
 
-    Leaves are peeled layer by layer down to the one or two centres; each
-    peeled vertex, and then each centre, gets the int that `shapes` maps the
-    sorted tuple of its peeled children's ints to (new tuples get the next
-    int).  The key is the sorted tuple of the centres' ints, so trees keyed
-    against one `shapes` dict have equal keys iff they are isomorphic.
+
+def _certificate(n: int, edges) -> str:
+    """The minimum rooted shape string of a tree over its centres.
+
+    A rooted shape is "(" + its children's shapes, sorted, + ")".  Leaves are
+    peeled layer by layer down to the one or two centres, and each peeled
+    vertex hands its shape to its one live neighbour.  Two centres give the
+    smaller of the two rootings, each taking the other centre's shape as one
+    more child.  The edges must form a tree on 0..n-1.
     """
     nbr = [[] for _ in range(n)]
     for u, v in edges:
@@ -46,48 +51,30 @@ def _class_key(n: int, edges, shapes: dict) -> tuple:
         for v in layer:
             deg[v] = -1  # peeled; a live vertex keeps deg >= 1 until one is left
             remaining -= 1
-            k = kids[v]
-            k.sort()
-            k = tuple(k)
-            code = shapes.get(k)
-            if code is None:
-                code = shapes[k] = len(shapes)
+            shape = _shape(kids[v])
             for w in nbr[v]:
                 if deg[w] > 0:
-                    kids[w].append(code)
+                    kids[w].append(shape)
                     deg[w] -= 1
                     if deg[w] == 1:
                         nxt.append(w)
         layer = nxt
-    return tuple(sorted(shapes.setdefault(tuple(sorted(kids[v])), len(shapes))
-                        for v in range(n) if deg[v] >= 0))
-
-
-def _shape(kids: list[str]) -> str:
-    return "(" + "".join(sorted(kids)) + ")"
+    centres = [kids[v] for v in range(n) if deg[v] >= 0]
+    if len(centres) == 1:
+        return _shape(centres[0])
+    a, b = centres
+    return min(_shape(a + [_shape(b)]), _shape(b + [_shape(a)]))
 
 
 def tree_certificate(n: int, edges) -> str:
     """Canonical certificate: minimum rooted shape string over the centres.
 
-    A rooted shape is "(" + its children's shapes, sorted, + ")"; it is
-    rendered from the integer key, whose shapes are numbered children first.
     Raises GraphError unless the edges form a tree on 0..n-1.
     """
     edges = list(edges)
     if len(edges) != n - 1 or not Graph(n, edges).is_tree():
         raise GraphError(f"{len(edges)} edges on {n} vertices do not form a tree")
-    shapes = {}
-    key = _class_key(n, edges, shapes)
-    kids = list(shapes)
-    text = []
-    for k in kids:
-        text.append(_shape([text[c] for c in k]))
-    if len(key) == 1:
-        return text[key[0]]
-    a, b = key
-    return min(_shape([text[c] for c in kids[a]] + [text[b]]),
-               _shape([text[c] for c in kids[b]] + [text[a]]))
+    return _certificate(n, edges)
 
 
 _FREE_CACHE: dict[int, list[Graph]] = {1: [Graph(1, label="free-tree-1-0")]}
@@ -96,19 +83,20 @@ _FREE_CACHE: dict[int, list[Graph]] = {1: [Graph(1, label="free-tree-1-0")]}
 def free_trees(n: int) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices.
 
-    The classes are ordered by `tree_certificate`; the cached graphs are
-    immutable, and each call returns a new list of them.
+    Each class of size n - 1 gets a leaf at every vertex, the first grown
+    tree of each certificate is kept, and the classes are ordered by
+    certificate; the cached graphs are immutable, and each call returns a
+    new list of them.
     """
     for m in range(max(_FREE_CACHE) + 1, _int_arg("n", n, 1) + 1):
-        shapes, classes = {}, {}
+        classes = {}
         for g in _FREE_CACHE[m - 1]:
             edges = g.edges()
             for v in range(m - 1):
                 grown = edges + [(v, m - 1)]
-                classes.setdefault(_class_key(m, grown, shapes), grown)
-        reps = sorted(classes.values(), key=lambda edges: tree_certificate(m, edges))
-        _FREE_CACHE[m] = [Graph(m, edges, label=f"free-tree-{m}-{i}")
-                          for i, edges in enumerate(reps)]
+                classes.setdefault(_certificate(m, grown), grown)
+        _FREE_CACHE[m] = [Graph(m, classes[c], label=f"free-tree-{m}-{i}")
+                          for i, c in enumerate(sorted(classes))]
     return list(_FREE_CACHE[n])
 
 

@@ -324,7 +324,7 @@ def _search_empty_common(cands: list[int], meets: list[int], max_nodes: int,
         if size and common and any(not allowed & ~contains[x] for x in iter_bits(common)):
             continue  # a core vertex x can no longer be evicted
         if not allowed:
-            if size > best and (common == 0 or size == 0):
+            if size > best and not common:
                 best, best_sel = size, sel
             continue
         # the pick: the first candidate with most allowed disjoint partners
@@ -383,7 +383,8 @@ def _candidates(g: Graph, r: Optional[int]) -> list[int]:
     """The independent r-sets of g; every nonempty independent set if r is None."""
     if r is None:
         return all_independent_sets(g)
-    cands = enum_independent_rsets(g, _int_arg("r", r, 1))
+    r = _int_arg("r", r, 1)
+    cands = enum_independent_rsets(g, r) if r <= g.n else []
     if not cands:
         raise GraphError(f"no independent {r}-sets: r exceeds the independence number")
     return cands

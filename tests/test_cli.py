@@ -6,11 +6,14 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ekrkit
 import ekrkit.bounds as bounds
 import ekrkit.cli as cli
-from ekrkit.cli import main
+from ekrkit.cli import CliError, main
+from ekrkit.graphs import GENERATOR_KINDS, Graph, GraphError
 
 
 def run_main(capsys, *argv):
@@ -423,6 +426,40 @@ def test_file_errors_are_input_errors(capsys, tmp_path, argv):
     argv = [a.format(dir=tmp_path, missing=tmp_path / "missing") for a in argv]
     code, out, err = run_main(capsys, *argv)
     assert code == 1 and out == "" and err.startswith("error:"), err
+
+
+def test_files_without_graphs_are_input_errors(capsys, tmp_path):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("# a comment, then a blank line\n\n", encoding="ascii")
+    code, out, err = run_main(capsys, "count", "--graph", str(blank), "--r", "2")
+    assert (code, out, err) == (1, "", f"error: {str(blank)!r} contains no graph data\n")
+    code, out, err = run_main(capsys, "search-ekr", "--catalog", str(blank))
+    assert (code, out, err) == (1, "", f"error: catalog file {str(blank)!r} contains no graphs\n")
+
+
+_CATALOG_LINE = st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=12),
+    st.builds("{}:{}".format, st.sampled_from(GENERATOR_KINDS),
+              st.text(" ,-0123456789x", max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CATALOG_LINE, max_size=4).map("\n".join))
+def test_load_catalog_raises_only_input_errors(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-catalog.txt"
+    path.write_text(text, encoding="ascii")
+    try:
+        graphs = cli.load_catalog(str(path))
+    except (GraphError, CliError):
+        return
+    assert graphs and all(isinstance(g, Graph) for g in graphs)
+
+
+@pytest.mark.parametrize("command", ["ekr", "strict-ekr", "hk"])
+def test_r_above_n_exceeds_the_independence_number(capsys, command):
+    code, out, err = run_main(capsys, command, "--graph", "path:5", "--r", "9")
+    assert (code, out) == (1, "")
+    assert err == "error: no independent 9-sets: r exceeds the independence number\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -371,6 +371,8 @@ def test_merge_tree_paths():
     # a surviving degree-3 vertex is not mergeable
     with pytest.raises(GraphError):
         merge_tree_paths(generate("star:3"), 0)
+    with pytest.raises(GraphError, match="expects a tree"):
+        merge_tree_paths(generate("cycle:4"), 1)
     # removing everything leaves nothing
     with pytest.raises(GraphError):
         merge_tree_paths(t, t.vertex_mask)
@@ -470,6 +472,12 @@ def test_splitstar_witness_validation():
         splitstar_witness(m, H.mask([0, 2]), junction=5)
     with pytest.raises(GraphError):
         splitstar_witness(m, H.mask([0, 9]))  # outside the path
+    one_piece = merge_tree_paths(generate("path:4"), H.mask([0, 3]))
+    with pytest.raises(GraphError, match="no junction"):
+        splitstar_witness(one_piece, H.mask([0, 1]))
+    pairs = merge_paths(SpiderSpec((3, 3, 3)), "with_w")  # pieces of two vertices
+    with pytest.raises(GraphError, match="not independent in the piece graph"):
+        splitstar_witness(pairs, H.mask([0, 1]))
 
 
 def test_merge_equality_placement_diagnostic():

@@ -253,6 +253,25 @@ def test_generate_errors():
         generate("spider:50,50,50")
 
 
+@pytest.mark.parametrize("spec", ["empty:3,4", "path:3,4", "cycle:5,5", "star:2,1,1",
+                                  "tristar:1,2"])
+def test_one_integer_generators_reject_extra_parameters(spec):
+    with pytest.raises(GeneratorError, match=f"generator '{spec}' takes one integer parameter"):
+        generate(spec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(graphs.GENERATOR_KINDS + ("nosuch",)),
+       st.lists(st.integers(-3, 40), max_size=4), st.text(alphabet=",: -x3", max_size=4))
+def test_generate_raises_only_graph_errors(kind, params, tail):
+    spec = f"{kind}:{','.join(map(str, params))}{tail}"
+    try:
+        g = generate(spec)
+    except GraphError:
+        return
+    assert isinstance(g, Graph)
+
+
 @pytest.mark.parametrize("spec", ["kpartite:1000,1000", "cycle:1000000", "tristar:20000"])
 def test_oversized_generator_specs_fail_before_building(spec):
     tracemalloc.start()

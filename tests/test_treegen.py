@@ -97,38 +97,21 @@ def test_free_trees_match_labeled_sweep_dedup():
         assert certs == {T.tree_certificate(n, g.edges()) for g in T.free_trees(n)}
 
 
-
-# -- integer class keys ------------------------------------------------------------
-
-def test_class_key_partitions_labeled_trees_like_certificates():
-    for n in range(1, 9):
-        shapes = {}
-        cert_of_key = {}
-        key_of_cert = {}
-        for edges in H.iter_labeled_trees(n):
-            key = T._class_key(n, edges, shapes)
-            cert = T.tree_certificate(n, edges)
-            assert cert_of_key.setdefault(key, cert) == cert, (n, edges)
-            assert key_of_cert.setdefault(cert, key) == key, (n, edges)
-        assert len(cert_of_key) == H.FREE_TREE_COUNTS[n - 1]
-
-
-def test_class_key_invariant_under_relabeling_and_separates_free_trees():
+def test_certificate_invariant_under_relabeling_and_separates_free_trees():
     rng = random.Random(2718)
     for n in range(1, 12):
-        shapes = {}
-        keys = set()
+        certs = set()
         for g in T.free_trees(n):
             edges = g.edges()
-            key = T._class_key(n, edges, shapes)
+            cert = T._certificate(n, edges)
             for _ in range(5):
                 perm = list(range(n))
                 rng.shuffle(perm)
                 relabeled = [(perm[u], perm[v]) for u, v in edges]
                 rng.shuffle(relabeled)
-                assert T._class_key(n, relabeled, shapes) == key, (n, edges, perm)
-            keys.add(key)
-        assert len(keys) == H.FREE_TREE_COUNTS[n - 1], n
+                assert T._certificate(n, relabeled) == cert, (n, edges, perm)
+            certs.add(cert)
+        assert len(certs) == H.FREE_TREE_COUNTS[n - 1], n
 
 
 def test_free_trees_labels_edges_and_order_pinned():
@@ -195,11 +178,11 @@ def reference_trees():
     """First labeled tree of each class for n = 2..8, keying every tree."""
     reps = []
     for n in range(2, 9):
-        shapes, seen = {}, set()
+        seen = set()
         for edges in H.iter_labeled_trees(n):
-            key = T._class_key(n, edges, shapes)
-            if key not in seen:
-                seen.add(key)
+            cert = T._certificate(n, edges)
+            if cert not in seen:
+                seen.add(cert)
                 reps.append(Graph(n, edges, label=f"tree-{n}-{len(seen) - 1}"))
     return reps
 

@@ -637,3 +637,12 @@ def _peeled():
 def test_booleans_and_non_integers_are_not_sizes(call, message):
     with pytest.raises(GraphError, match=message):
         call()
+
+
+@pytest.mark.parametrize("search", [V.is_r_ekr, V.is_strictly_r_ekr, V.max_nonstar_intersecting])
+def test_r_above_n_exceeds_the_independence_number(search):
+    # r > n is past alpha as much as alpha < r <= n is, so both give one message
+    for r in (4, 9):
+        with pytest.raises(GraphError, match=f"^no independent {r}-sets: r exceeds the "
+                                             "independence number$"):
+            search(_P5, r)
