@@ -129,7 +129,7 @@ def _run_star(args, stream) -> int:
                    "vertex": args.vertex, "size": res.count, "method": res.method}
     else:
         if g.is_forest():  # one rerooting pass, reading coefficient r only
-            r = gr._int_arg("r", args.r, 0, g.n)
+            r = gr._int_arg("r", args.r, 0)
             sizes = fam._star_column(fam._star_polys(g), g.n, r)
         else:
             sizes = [fam.star_size(g, v, args.r).count for v in range(g.n)]

@@ -281,9 +281,9 @@ def count_rsets(g: Graph, r: int, anchor: Optional[int] = None, forbidden: int =
 
 
 def star_size(g: Graph, v: int, r: int) -> CountResult:
-    """s_r(v): exact count of independent r-sets containing v."""
+    """s_r(v): exact count of independent r-sets containing v (0 when r > n)."""
     _int_arg("v", v, 0, g.n - 1)
-    _int_arg("r", r, 0, g.n)
+    _int_arg("r", r, 0)
     return count_rsets(g, r, anchor=v)
 
 

@@ -14,18 +14,16 @@ climbs to its optimum only near its end; with it, the nodes whose bound
 cannot beat the family are pruned from the first, and the same first maximum
 family is found in the same order.
 
-A uniform search at r <= 2 is first tested at its root against a covering
-bound (`_root_covered`): an intersecting family of r-sets with empty total
-intersection has at most r^2 M members, M the largest number of candidates
-that contain one pair of vertices, and M <= r - 1 there.  When that is at
-most the floor, the search and all of its set-up are skipped, and the report
-counts one node, as for a root that the matching bound prunes.  The nonstar
-search's floor sits one below a real nonstar family, which the bound cannot
-undercut, so there it fires only where no such family exists, as at r = 1.
-At r >= 3, M needs a scan over the vertex pairs, and the bound can fall to
-the best star only when r^2 (r - 1) <= n - 1 (at the best star's vertex x,
-the pair counts over the n - 1 other vertices sum to (r - 1) s(x)), so from
-n = 19 on at r = 3; the search does not test it there.
+A uniform search at r <= 3 is first tested at its root against a covering
+bound (`_root_covered`) on intersecting families of r-sets with empty total
+intersection: r^2 M members at r <= 2 (M <= r - 1 there), max(27, 3M + 4) at
+r = 3, M the largest number of candidates that contain one pair of vertices.
+When that is at most the floor, the search and all of its set-up are
+skipped, and the report counts one node, as for a root that the matching
+bound prunes.  At r = 3 the pair scan for M runs only when the floor is at
+least 27.  The nonstar search's floor sits one below a real nonstar family,
+which the bound cannot undercut, so there it fires only where no such
+family exists, as at r = 1.
 
 The top two levels of that search use orbital branching (Ostrowski,
 Linderoth, Rossi, Smriglio, "Orbital branching", Math. Program. 126, 2011).
@@ -365,18 +363,43 @@ def _hilton_milner(cands: list[int], meets: list[int]) -> tuple[int, int]:
     return best, best_sel
 
 
-def _root_covered(r: Optional[int], floor: int) -> bool:
+def _root_covered(r: Optional[int], floor: int, meets: list[int]) -> bool:
     """Whether no intersecting family of r-sets with empty total intersection
-    is larger than floor, by the covering bound r^2 M.
+    is larger than floor, for candidates whose `_containment` is `meets`.
 
-    Take such a family F and a member A.  Every member meets A, so F is the
-    union over x in A of F_x, its members containing x.  Some member C avoids
-    x, and every member of F_x meets C in some y != x, so |F_x| <= r M and
-    |F| <= r^2 M, M the largest number of members that contain one pair of
-    vertices.  No 1-set contains a pair, and only the 2-set {x, y} contains
-    {x, y}, so M <= r - 1 for r <= 2.
+    Let F be such a family and M the largest number of candidates that
+    contain one pair of vertices.  Every member meets every other, so every
+    member covers F, and no single vertex does: the covering number tau(F)
+    is at most r and at least 2.
+
+    r <= 2: take a member A.  Some member C avoids x in A, and every member
+    containing x meets C in some y != x, so at most r M members contain x
+    and |F| <= r^2 M.  No 1-set contains a pair, and only the 2-set {x, y}
+    contains {x, y}, so M <= r - 1.
+
+    r = 3, tau = 3: a set T of fewer than 3 vertices misses some member D,
+    and every member containing T meets D, so deg(T) <= 3 max deg(T + d)
+    over d in D.  A 3-set lies in at most one member, so |F| <= 27.
+
+    r = 3, tau = 2, cover {x, y}: at most M members contain both.  Let X be
+    the members with x but not y, Y those with y but not x; both are
+    nonempty, else F is a star.  The pairs X' = {A - x} and Y' = {B - y}
+    cross-intersect.  A member of X whose pair meets a given pair P contains
+    x and a vertex of P, so at most 2M of them do; likewise for Y.  If Y' has
+    two disjoint pairs, every pair of X' meets both, so |X| <= 4, and
+    |Y| <= 2M.  If Y' is a triangle, X' lies in it too and |X| + |Y| <= 6.
+    Else Y' is a star at a with m pairs: m = 1 gives |X| <= 2M, |Y| = 1;
+    m = 2 gives |X| <= M + 1 (pairs through a, or the two other ends),
+    |Y| = 2; m >= 3 gives |X| <= M and |Y| <= M, all through a.  With
+    M >= 1, |F| <= M + 2M + 4 = 3M + 4.
     """
-    return r is not None and r <= 2 and r * r * (r - 1) <= floor
+    if r is None or r > 3:
+        return False
+    if r <= 2:
+        return r * r * (r - 1) <= floor
+    cap = (floor - 4) // 3  # 3M + 4 <= floor
+    return floor >= 27 and all((a & b).bit_count() <= cap
+                               for i, a in enumerate(meets) for b in meets[i + 1:])
 
 
 def _candidates(g: Graph, r: Optional[int]) -> list[int]:
@@ -418,7 +441,7 @@ def _report(g: Graph, r: Optional[int], cands: list[int], gens: list[tuple],
         floor = max(0, seed - 1)
     else:
         floor = ss - floor_offset
-    if _root_covered(r, floor):  # pruned at the root, as by the matching bound
+    if _root_covered(r, floor, meets):  # pruned at the root, as by the matching bound
         found, witness, nodes, exceeded = floor, None, 1, False
     else:
         found, witness, nodes, exceeded = _search_empty_common(cands, meets, budget.max_nodes,

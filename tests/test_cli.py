@@ -462,6 +462,19 @@ def test_r_above_n_exceeds_the_independence_number(capsys, command):
     assert err == "error: no independent 9-sets: r exceeds the independence number\n"
 
 
+@pytest.mark.parametrize("graph", ["path:5", "cycle:5"])
+def test_star_sizes_are_zero_past_alpha_and_past_n(capsys, graph):
+    # the forest DP and enumeration both answer 0 for an r with no independent
+    # r-set, whether r exceeds alpha only or n too, as count does
+    for r in (4, 9):
+        code, payload = run_json(capsys, "star", "--graph", graph, "--r", str(r))
+        assert (code, payload["star_sizes"], payload["max_size"]) == (0, [0] * 5, 0)
+        code, payload = run_json(capsys, "star", "--graph", graph, "--r", str(r), "--vertex", "2")
+        assert (code, payload["size"]) == (0, 0)
+        code, payload = run_json(capsys, "count", "--graph", graph, "--r", str(r))
+        assert (code, payload["count"]) == (0, 0)
+
+
 @pytest.mark.parametrize("argv", [
     ["hk", "--graph", "path:5"],
     ["search-hk"],

@@ -303,8 +303,7 @@ def test_star_size_methods_agree_and_tag():
     assert star_size(c, 0, 2).count == 3
     with pytest.raises(GraphError):
         star_size(g, 9, 2)
-    with pytest.raises(GraphError):
-        star_size(g, 0, 99)
+    assert star_size(g, 0, 99).count == 0  # r > n counts 0, as count_rsets does
 
 
 def test_star_sizes_on_named_graphs():

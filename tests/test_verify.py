@@ -359,6 +359,8 @@ def test_orbital_search_matches_plain_search(n, data):
 
 
 def _assert_fewer_nodes_same_json(g, r, monkeypatch):
+    # with the root covering bound off on both sides, so that both searches branch
+    monkeypatch.setattr(V, "_root_covered", lambda r, floor, meets: False)
     orbital = [fn(g, r) for fn in SEARCHES]
     _plain(monkeypatch)
     plain = [fn(g, r) for fn in SEARCHES]
@@ -425,12 +427,12 @@ def test_search_outputs_are_pinned(tree_pin_reports):
     # nodes_explored included, so a change to the symmetry set-up cannot show
     # only as changed node counts
     assert H.report_digest(tree_pin_reports) == (
-        "3d21b34349ee37dfdbc52fc68789fe86e114769a18e863b7ee4e71685de6c7ca")
+        "3cbe41f0f0e3b230c02e74b71c0cb2eccb949cb1f1a95207579bddb576a2e92b")
 
 
 def test_non_tree_search_outputs_are_pinned(non_tree_pin_reports):
     assert H.report_digest(non_tree_pin_reports) == (
-        "dee1d862c857ef4ad07ad3e17d510c7504fade7a4e6f9e5ce27d9ad66780b61e")
+        "bfc5c3f77c7d6910006f2067ab3cc41ff6f9624ca9cee1b6db76ed4bf104560d")
 
 
 def test_search_answers_are_pinned(tree_pin_reports, non_tree_pin_reports):
@@ -457,7 +459,7 @@ def test_budget_stopped_search_outputs_are_pinned():
     assert len(cases) == 448 + 33
     budgets = (None, V.SearchBudget(3), V.SearchBudget(17))
     assert H.report_digest(fn(g, r, b) for g, r in cases for b in budgets for fn in SEARCHES) == (
-        "09f894ce9081fd9caf67d1e242dc95cf8351354d41b06b9d3996174f505c3714")
+        "82cc6eee9b1bfd4c0eb99af50f4dfa5dc27ffb883f3483c96edd0b03035c8591")
 
 
 # -- the Hilton-Milner-type floor of the nonstar search ------------------------
@@ -509,19 +511,42 @@ def _atlas():
 
 
 def test_covering_bound_bounds_every_nonstar_family():
-    # the root test never puts the floor below a real nonstar family; it
-    # fires only at r <= 2
+    # the root test never puts the floor below a real nonstar family at r <= 2
     brute = 0
     for g in _atlas():
         for r in range(1, min(2, max_independent_set_size(g)) + 1):
-            size = V.max_nonstar_intersecting(g, r).max_intersecting_size
-            assert not V._root_covered(r, size - 1), (g.edges(), r)
             cands = enum_independent_rsets(g, r)
+            meets = V._containment(cands, g.n)
+            size = V.max_nonstar_intersecting(g, r).max_intersecting_size
+            assert not V._root_covered(r, size - 1, meets), (g.edges(), r)
             if len(cands) <= 20:
                 brute += 1
                 size = H.brute_max_intersecting(cands, empty_common_only=True)[0]
-                assert not V._root_covered(r, size - 1), (g.edges(), r)
+                assert not V._root_covered(r, size - 1, meets), (g.edges(), r)
     assert brute == 2496
+
+
+def _max_pair_count(cands, n):
+    """The largest number of sets in cands that contain one pair of vertices."""
+    return max(sum(1 for s in cands if s >> u & 1 and s >> v & 1)
+               for u in range(n) for v in range(u + 1, n))
+
+
+def test_covering_bound_at_r3_bounds_every_nonstar_family():
+    # max(27, 3M + 4) against the exact nonstar maximum at r = 3: on empty:9..12,
+    # where the Hilton-Milner family has 3n - 8 members and 3M + 4 = 3n - 2, and
+    # on seeded samples of free trees and sparse random graphs with n = 11, 12
+    rng = random.Random(32)
+    graphs = [generate(f"empty:{n}") for n in range(9, 13)]
+    for n in (11, 12):
+        graphs += rng.sample(free_trees(n), 10)
+        for _ in range(10):
+            graphs.append(Graph(n, H.random_graph_edges(rng, n, rng.randint(n // 2, n))))
+    for g in graphs:
+        cands = enum_independent_rsets(g, 3)
+        size = V.max_nonstar_intersecting(g, 3).max_intersecting_size
+        assert size <= max(27, 3 * _max_pair_count(cands, g.n) + 4), (g.edges(), size)
+        assert not V._root_covered(3, size - 1, V._containment(cands, g.n)), g.edges()
 
 
 def test_covering_bound_changes_only_node_counts(monkeypatch):
@@ -536,12 +561,30 @@ def test_covering_bound_changes_only_node_counts(monkeypatch):
     graphs += [t for n in range(2, 11) for t in free_trees(n)]
     cases = [(g, r) for g in graphs for r in range(1, min(3, max_independent_set_size(g)) + 1)]
     bounded = [fn(g, r) for g, r in cases for fn in SEARCHES]
-    monkeypatch.setattr(V, "_root_covered", lambda r, floor: False)
+    monkeypatch.setattr(V, "_root_covered", lambda r, floor, meets: False)
     plain = [fn(g, r) for g, r in cases for fn in SEARCHES]
     for a, b in zip(bounded, plain):
         assert a.to_json_dict() | {"nodes_explored": 0} == b.to_json_dict() | {"nodes_explored": 0}
         assert a.nodes_explored <= b.nodes_explored, (a, b)
     assert sum(a.nodes_explored for a in bounded) < sum(b.nodes_explored for b in plain)
+
+
+def test_covering_bound_at_r3_changes_only_node_counts(monkeypatch):
+    # at r = 3 on every free tree with n = 11 and on empty:9..11, where the
+    # bound fires: every ekr and strict check ends at its root, the nonstar
+    # search is untouched, and each report is the one the search gives with
+    # the bound off, but for its node count
+    checks = [(fn, g) for g in free_trees(11) + [generate(f"empty:{n}") for n in (9, 10, 11)]
+              for fn in SEARCHES]
+    bounded = [fn(g, 3) for fn, g in checks]
+    monkeypatch.setattr(V, "_root_covered", lambda r, floor, meets: False)
+    plain = [fn(g, 3) for fn, g in checks]
+    for (fn, g), a, b in zip(checks, bounded, plain):
+        assert a.to_json_dict() | {"nodes_explored": 0} == b.to_json_dict() | {"nodes_explored": 0}
+        if fn is V.max_nonstar_intersecting:
+            assert a.nodes_explored == b.nodes_explored, g.edges()
+        else:
+            assert a.nodes_explored == 1 < b.nodes_explored, (fn.__name__, g.edges())
 
 
 _P5 = generate("path:5")
